@@ -349,7 +349,7 @@ def check_config_coverage(
     """RL005: every ``class_name`` dataclass field referenced by a test.
 
     A field counts as referenced when any test module passes it as a
-    keyword argument (``ServingConfig(per_layer_demand=False)``, including
+    keyword argument (``PricingConfig(per_layer_demand=False)``, including
     through ``dataclasses.replace``) or reads it as an attribute
     (``config.per_layer_demand``).
     """

@@ -6,24 +6,21 @@ critical path, or non-invasively drained through cold links) -> iteration
 latency.  Produces the run-time traces behind Fig. 15 and the aggregate
 comparisons of Fig. 16/17.
 
-Two engines drive the same loop.  The default *stacked* engine keeps every
-sparse layer's placement and balancer state in layer-stacked tensors
-(:class:`~repro.mapping.placement.StackedPlacement` +
+The engine keeps every sparse layer's placement and balancer state in
+layer-stacked tensors (:class:`~repro.mapping.placement.StackedPlacement` +
 :class:`~repro.balancer.stacked.StackedBalancer`), so observing loads,
 evaluating the Eq. 2 cumulative trigger, planning migrations and pricing
 MoE rooflines cost a handful of vectorized ops regardless of depth — full
-DeepSeek-V3 (58 sparse layers) runs at roughly the wall-clock of the old
-2-layer proxy.  The *per-layer* engine (``stacked=False``) iterates a list
-of :class:`~repro.balancer.base.Balancer` objects with the seed's
-balancing logic; it is the bit-identical oracle the regression tests hold
-the stacked engine against (same workload stream in, same trace out), and
-the automatic fallback for custom balancer subclasses with no stacked
-equivalent.
+DeepSeek-V3 (58 sparse layers) runs at roughly the wall-clock of a 2-layer
+proxy.  Callers name the strategy by its per-layer
+:class:`~repro.balancer.base.Balancer` class; the stacked twin in
+:data:`~repro.balancer.stacked.STACKED_BALANCERS` takes the same decisions
+as one such balancer per layer.
 
 Communication is priced per layer in both *placement* and *demand*: layer
 0 gets the full network simulation, and every other layer's MoE phase
 combines its own compute roofline with its own all-to-all price.  By
-default (``ServingConfig(per_layer_demand=True)``) the workload resolves
+default (``PricingConfig(per_layer_demand=True)``) the workload resolves
 group-level gating counts for every layer
 (:meth:`~repro.workload.gating.GatingSimulator.next_group_counts`), so
 each layer is priced against its own demand rows *and* its own
@@ -35,7 +32,7 @@ skew reaches the pricer instead of broadcasting layer 0's rows.  With
 PR 4 demand-broadcast semantics bit-identically: layers whose placement
 content still matches layer 0 reuse its exactly-simulated collectives, and
 only migration-diverged layers are priced (against layer 0's demand).
-``ServingConfig(per_layer_alltoall=False)`` further restores the plain
+``PricingConfig(per_layer_alltoall=False)`` further restores the plain
 layer-0-broadcast pricing of earlier releases.  Note that *traces* are not
 comparable across these modes or with pre-stacked releases: each samples
 the workload RNG stream differently (equally distributed layer totals,
@@ -47,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.analysis.load import device_token_loads, stacked_device_token_loads
+from repro.analysis.load import stacked_device_token_loads
 from repro.balancer.base import Balancer, BalancerConfig, Migration
 from repro.balancer.migration import PendingMigration, SegmentKind, split_migration
 from repro.balancer.stacked import STACKED_BALANCERS, StackedBalancer
@@ -165,48 +162,7 @@ class PricingConfig:
             )
 
 
-#: Flat pre-grouping ServingConfig kwarg names and the sub-config that
-#: owns each today — the forwarding table behind the deprecated flat
-#: constructor path and :meth:`ServingConfig.from_flat`.
-_BALANCING_FIELDS = (
-    "alpha",
-    "beta_iters",
-    "warmup_iters",
-    "shadow_slots",
-    "migration_side_channel",
-)
-_PRICING_FIELDS = (
-    "per_layer_alltoall",
-    "per_layer_demand",
-    "record_broadcast_price",
-    "sparse_pricing",
-)
-
-
-def _apply_flat_kwargs(
-    balancing: BalancingConfig, pricing: PricingConfig, flat: dict
-) -> tuple[BalancingConfig, PricingConfig]:
-    """Forward flat legacy kwargs onto the sub-config that owns each."""
-    unknown = [
-        name
-        for name in flat
-        if name not in _BALANCING_FIELDS and name not in _PRICING_FIELDS
-    ]
-    if unknown:
-        raise TypeError(
-            "ServingConfig got unexpected keyword argument(s): "
-            + ", ".join(sorted(unknown))
-        )
-    balancing_over = {k: v for k, v in flat.items() if k in _BALANCING_FIELDS}
-    pricing_over = {k: v for k, v in flat.items() if k in _PRICING_FIELDS}
-    if balancing_over:
-        balancing = replace(balancing, **balancing_over)
-    if pricing_over:
-        pricing = replace(pricing, **pricing_over)
-    return balancing, pricing
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ServingConfig:
     """Serving-loop parameters, grouped by concern.
 
@@ -216,84 +172,15 @@ class ServingConfig:
             (:class:`BalancingConfig`).
         pricing: communication-pricing mode selection
             (:class:`PricingConfig`).
-
-    The pre-grouping flat constructor kwargs (``alpha=...``,
-    ``per_layer_demand=...``) are still accepted and forwarded onto the
-    matching sub-config behind a :class:`DeprecationWarning`; the flat
-    attribute names keep working silently as read-only aliases
-    (``config.alpha`` == ``config.balancing.alpha``).  New code should
-    construct the sub-configs directly, or use :meth:`from_flat` when
-    starting from a flat kwarg dict.
     """
 
-    num_iterations: int
-    balancing: BalancingConfig
-    pricing: PricingConfig
+    num_iterations: int = 150
+    balancing: BalancingConfig = field(default_factory=BalancingConfig)
+    pricing: PricingConfig = field(default_factory=PricingConfig)
 
-    def __init__(
-        self,
-        num_iterations: int = 150,
-        balancing: BalancingConfig | None = None,
-        pricing: PricingConfig | None = None,
-        **legacy,
-    ) -> None:
-        balancing = balancing if balancing is not None else BalancingConfig()
-        pricing = pricing if pricing is not None else PricingConfig()
-        if legacy:
-            balancing, pricing = _apply_flat_kwargs(balancing, pricing, legacy)
-            warnings.warn(
-                "flat ServingConfig kwargs ("
-                + ", ".join(sorted(legacy))
-                + ") are deprecated; pass balancing=BalancingConfig(...) / "
-                "pricing=PricingConfig(...), or build from a flat dict with "
-                "ServingConfig.from_flat(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if num_iterations <= 0:
+    def __post_init__(self) -> None:
+        if self.num_iterations <= 0:
             raise ValueError("num_iterations must be positive")
-        object.__setattr__(self, "num_iterations", num_iterations)
-        object.__setattr__(self, "balancing", balancing)
-        object.__setattr__(self, "pricing", pricing)
-
-    @classmethod
-    def from_flat(
-        cls,
-        num_iterations: int = 150,
-        balancing: BalancingConfig | None = None,
-        pricing: PricingConfig | None = None,
-        **flat,
-    ) -> "ServingConfig":
-        """Build a grouped config from flat kwargs, without the warning.
-
-        The supported bridge for callers that carry serving knobs around
-        as a flat kwarg dict (test parametrization, sweep drivers): flat
-        names are forwarded onto the sub-config that owns them, applied
-        over ``balancing=`` / ``pricing=`` when those are also given.
-        """
-        balancing = balancing if balancing is not None else BalancingConfig()
-        pricing = pricing if pricing is not None else PricingConfig()
-        balancing, pricing = _apply_flat_kwargs(balancing, pricing, flat)
-        return cls(
-            num_iterations=num_iterations, balancing=balancing, pricing=pricing
-        )
-
-
-def _flat_alias(group: str, name: str) -> property:
-    return property(
-        lambda self: getattr(getattr(self, group), name),
-        doc=f"Read-only alias for ``{group}.{name}`` (pre-grouping name).",
-    )
-
-
-# Reads through the old flat names stay silent — only the construction
-# path warns — so downstream code that merely *inspects* a config keeps
-# working without churn while writers migrate to the grouped kwargs.
-for _name in _BALANCING_FIELDS:
-    setattr(ServingConfig, _name, _flat_alias("balancing", _name))
-for _name in _PRICING_FIELDS:
-    setattr(ServingConfig, _name, _flat_alias("pricing", _name))
-del _name
 
 
 @dataclass
@@ -483,7 +370,6 @@ class ServingSimulator:
         engine_config: EngineConfig | None = None,
         serving_config: ServingConfig | None = None,
         balancer_config: BalancerConfig | None = None,
-        stacked: bool | None = None,
         fault_schedule: FaultSchedule | None = None,
     ) -> None:
         self.device = device
@@ -505,44 +391,23 @@ class ServingSimulator:
             self.sparse_pricing = self.serving_config.pricing.sparse_pricing
 
         num_devices = mapping.topology.num_devices
-        if stacked is None:
-            stacked = balancer_cls in STACKED_BALANCERS
-        elif stacked and balancer_cls not in STACKED_BALANCERS:
+        if balancer_cls not in STACKED_BALANCERS:
             raise ValueError(
-                f"{balancer_cls.__name__} has no stacked equivalent; "
-                "pass stacked=False to use the per-layer engine"
+                f"{balancer_cls.__name__} has no stacked equivalent in "
+                "STACKED_BALANCERS"
             )
-        self.stacked = stacked
-        self.engine: StackedBalancer | None = None
-        self.balancers: list[Balancer] = []
-        if stacked:
-            placement = StackedPlacement(
-                self.num_layers,
-                model.num_experts,
-                num_devices,
-                shadow_slots=self.serving_config.balancing.shadow_slots,
-            )
-            self.engine = STACKED_BALANCERS[balancer_cls](
-                placement,
-                mapping.topology,
-                expert_bytes=model.expert_bytes,
-                config=balancer_config,
-            )
-        else:
-            for _ in range(self.num_layers):
-                placement = ExpertPlacement(
-                    model.num_experts,
-                    num_devices,
-                    shadow_slots=self.serving_config.balancing.shadow_slots,
-                )
-                self.balancers.append(
-                    balancer_cls(
-                        placement,
-                        mapping.topology,
-                        expert_bytes=model.expert_bytes,
-                        config=balancer_config,
-                    )
-                )
+        placement = StackedPlacement(
+            self.num_layers,
+            model.num_experts,
+            num_devices,
+            shadow_slots=self.serving_config.balancing.shadow_slots,
+        )
+        self.engine: StackedBalancer = STACKED_BALANCERS[balancer_cls](
+            placement,
+            mapping.topology,
+            expert_bytes=model.expert_bytes,
+            config=balancer_config,
+        )
         #: (layer, migration, in-flight state) for non-invasive draining.
         self._in_flight: list[tuple[int, Migration, PendingMigration]] = []
         self._last_migration_iter = -(10**9)
@@ -564,11 +429,6 @@ class ServingSimulator:
         self._device_scale: np.ndarray | None = None
         self._attention_scale = 1.0
         if self._faults is not None:
-            if not self.stacked:
-                raise ValueError(
-                    "fault injection requires the stacked engine "
-                    "(the per-layer oracle has no repair path)"
-                )
             self._validate_schedule(num_devices)
 
     def _validate_schedule(self, num_devices: int) -> None:
@@ -603,29 +463,13 @@ class ServingSimulator:
                     "work there has no survivors to redistribute onto"
                 )
 
-    @property
-    def invasive(self) -> bool:
-        if self.stacked:
-            return self.engine.invasive
-        return self.balancers[0].invasive
-
     def layer_placement(self, layer: int) -> ExpertPlacement:
-        """The per-layer placement view, whichever engine is running."""
-        if self.stacked:
-            return self.engine.placement.layer(layer)
-        return self.balancers[layer].placement
+        """One layer's placement view."""
+        return self.engine.placement.layer(layer)
 
     def layer_placements(self) -> list[ExpertPlacement]:
-        """Every layer's placement, whichever engine is running."""
-        if self.stacked:
-            return self.engine.placement.layers
-        return [balancer.placement for balancer in self.balancers]
-
-    def _plan_anchor(self):
-        """The weakly-cacheable object the layered plan cache keys on."""
-        if self.stacked:
-            return self.engine.placement
-        return self.balancers[0].placement
+        """Every layer's placement view."""
+        return self.engine.placement.layers
 
     # -- migration pricing -------------------------------------------------------
 
@@ -725,11 +569,7 @@ class ServingSimulator:
                 tokens_per_group=tokens_per_group
             )
 
-        if self.stacked:
-            self.engine.observe(layer_loads)
-        else:
-            for layer, balancer in enumerate(self.balancers):
-                balancer.observe(layer_loads[layer])
+        self.engine.observe(layer_loads)
 
         repair_exposed = 0.0
         repairs = 0
@@ -774,7 +614,7 @@ class ServingSimulator:
         if self.serving_config.pricing.per_layer_alltoall and self.num_layers > 1:
             plan = layered_dispatch_plan(
                 self.mapping,
-                self._plan_anchor(),
+                self.engine.placement,
                 self.layer_placements(),
                 sparse=self.sparse_pricing,
             )
@@ -805,21 +645,14 @@ class ServingSimulator:
 
         layer_totals = [breakdown.attention_phase + breakdown.moe_phase]
         if self.num_layers > 1:
-            if self.stacked:
-                placement = self.engine.placement
-                moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
-                    layer_loads[1:],
-                    placement.replica_tensor[1:],
-                    placement.replica_counts[1:],
-                    device_scale=self._device_scale,
-                )
-                moe_totals = moe_compute + moe_memory
-            else:
-                moe_times = self.simulator.compute.moe_peak_times(
-                    layer_loads[1:],
-                    [balancer.placement for balancer in self.balancers[1:]],
-                )
-                moe_totals = np.array([moe.total for moe in moe_times])
+            placement = self.engine.placement
+            moe_compute, moe_memory = self.simulator.compute.moe_peak_arrays(
+                layer_loads[1:],
+                placement.replica_tensor[1:],
+                placement.replica_counts[1:],
+                device_scale=self._device_scale,
+            )
+            moe_totals = moe_compute + moe_memory
             layer_a2a = (
                 breakdown.alltoall if a2a_layers is None else a2a_layers[1:]
             )
@@ -1014,50 +847,32 @@ class ServingSimulator:
     # -- balancing ----------------------------------------------------------------
 
     def _commit_many(self, items: list[tuple[int, Migration]]) -> None:
-        """Commit a trigger's (or drain cycle's) migrations in one batch.
-
-        The stacked engine applies them through the vectorized
-        ``commit_many`` (one dest-share rebuild per touched expert); the
-        per-layer oracle keeps its sequential commits — both end in the
-        bitwise-identical placement state.
-        """
-        if not items:
-            return
-        if self.stacked:
+        """Commit a trigger's (or drain cycle's) migrations in one batch
+        (one dest-share rebuild per touched expert)."""
+        if items:
             self.engine.commit_many(items)
-        else:
-            for layer, migration in items:
-                self.balancers[layer].commit(migration)
 
     def _maybe_rebalance(self, iteration: int) -> tuple[float, int]:
         config = self.serving_config.balancing
         if iteration < config.warmup_iters:
             return 0.0, 0
-        if self.stacked:
-            # Pending-free heats serve both the trigger and the eviction
-            # threshold; nothing mutates in between.
-            trigger_heats = self.engine.heats(include_pending=False)
-            cumulative = self.engine.imbalance_sum(trigger_heats)
-        else:
-            cumulative = sum(balancer.imbalance() for balancer in self.balancers)
+        # Pending-free heats serve both the trigger and the eviction
+        # threshold; nothing mutates in between.
+        trigger_heats = self.engine.heats(include_pending=False)
+        cumulative = self.engine.imbalance_sum(trigger_heats)
         if cumulative <= config.alpha:
             return 0.0, 0
-        beta = 0 if not self.invasive else config.beta_iters
+        invasive = self.engine.invasive
+        beta = config.beta_iters if invasive else 0
         if iteration - self._last_migration_iter < beta:
             return 0.0, 0
 
         # Layers are independent (each owns its placement and pending set),
         # so evicting and planning all layers up front is
-        # decision-equivalent to the per-layer evict/plan/commit
+        # decision-equivalent to a per-layer evict/plan/commit
         # interleaving; migrations execute in layer-major order either way.
-        if self.stacked:
-            self.engine.evict_stale(trigger_heats)
-            layer_plans = self.engine.plan(iteration)
-        else:
-            layer_plans = []
-            for balancer in self.balancers:
-                balancer.evict_stale()
-                layer_plans.append(balancer.plan(iteration))
+        self.engine.evict_stale(trigger_heats)
+        layer_plans = self.engine.plan(iteration)
 
         exposed = 0.0
         started = 0
@@ -1070,10 +885,10 @@ class ServingSimulator:
         for layer, migrations in enumerate(layer_plans):
             for migration in migrations:
                 started += 1
-                if self.invasive and not config.migration_side_channel:
+                if invasive and not config.migration_side_channel:
                     exposed += self._migration_path_time(migration)
                     commits.append((layer, migration))
-                elif self.invasive:
+                elif invasive:
                     commits.append((layer, migration))
                 else:
                     pending = split_migration(
@@ -1128,23 +943,12 @@ class ServingSimulator:
     # -- stats ----------------------------------------------------------------------
 
     def _device_load_stats(self, layer_loads: np.ndarray) -> tuple[float, float]:
-        if self.stacked:
-            device_loads = stacked_device_token_loads(
-                layer_loads, self.engine.placement
-            )
-            if self._dead:
-                # Dead devices carry no load by construction; keeping
-                # their zero columns would flatter the mean.
-                device_loads = device_loads[:, self.engine.live_devices]
-            return (
-                float(np.mean(device_loads.max(axis=1))),
-                float(np.mean(device_loads.mean(axis=1))),
-            )
-        # Per-layer matmuls on the placements' zero-copy matrix views.
-        max_loads = []
-        mean_loads = []
-        for balancer, loads in zip(self.balancers, layer_loads):
-            device_loads = device_token_loads(loads, balancer.placement)
-            max_loads.append(device_loads.max())
-            mean_loads.append(device_loads.mean())
-        return float(np.mean(max_loads)), float(np.mean(mean_loads))
+        device_loads = stacked_device_token_loads(layer_loads, self.engine.placement)
+        if self._dead:
+            # Dead devices carry no load by construction; keeping their
+            # zero columns would flatter the mean.
+            device_loads = device_loads[:, self.engine.live_devices]
+        return (
+            float(np.mean(device_loads.max(axis=1))),
+            float(np.mean(device_loads.mean(axis=1))),
+        )

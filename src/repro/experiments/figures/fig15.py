@@ -8,7 +8,12 @@ the best balance.
 """
 
 from repro.analysis.report import format_table
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import (
+    EngineConfig,
+    PricingConfig,
+    ServingConfig,
+    ServingSimulator,
+)
 from repro.experiments.figures.shared import strategy_class, strategy_label
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
@@ -46,7 +51,8 @@ def run_point(params: dict) -> dict:
         # Demand-resolved pricing (the serving default) with the PR 4
         # demand-broadcast companion recorded for comparison.
         serving_config=ServingConfig(
-            num_iterations=ITERATIONS, record_broadcast_price=True
+            num_iterations=ITERATIONS,
+            pricing=PricingConfig(record_broadcast_price=True),
         ),
     )
     trace = simulator.run()

@@ -9,7 +9,12 @@ non-invasive balancing removes it while delivering the best load ratio.
 """
 
 from repro.analysis.report import format_table
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import (
+    EngineConfig,
+    PricingConfig,
+    ServingConfig,
+    ServingSimulator,
+)
 from repro.experiments.figures.shared import strategy_class
 from repro.experiments.registry import register
 from repro.experiments.spec import ExperimentSpec
@@ -67,7 +72,8 @@ def run_point(params: dict) -> dict:
         # Demand-resolved pricing (the serving default) with the PR 4
         # demand-broadcast companion recorded for comparison.
         serving_config=ServingConfig(
-            num_iterations=ITERATIONS, record_broadcast_price=True
+            num_iterations=ITERATIONS,
+            pricing=PricingConfig(record_broadcast_price=True),
         ),
     )
     trace = simulator.run()

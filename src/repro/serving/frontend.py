@@ -237,8 +237,11 @@ class ServingFrontend:
             while pending and pending[0].arrival_s <= now:
                 self._admit(pending.popleft(), queue, dispatcher)
 
-            # 2. Idle: nothing to serve — jump the clock to the next arrival.
+            # 2. Idle: nothing to serve — jump the clock to the next arrival,
+            #    or stop when admission just shed the last one.
             if not queue and not in_flight():
+                if not pending:
+                    break
                 next_arrival = pending[0].arrival_s
                 idle += next_arrival - now
                 now = next_arrival

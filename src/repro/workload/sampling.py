@@ -793,26 +793,21 @@ def _hex_split(rng, n, out):
 
 
 def _multinomial_split_pow2(rng, totals, num_groups, backend):
-    """Binary halving fused into 4- and 16-way levels where possible.
+    """Binary halving fused into 4-way levels.
 
     Works on a contiguous *group-major* ``(parts, lanes)`` buffer widened
     each level — every kernel input is a zero-copy reshape, every level
-    writes contiguous category blocks (:func:`_quad_split` /
-    :func:`_hex_split` land their counts straight in the next level's
-    buffer), and the final ``(G, lanes)`` -> ``(..., G, ...)`` transpose
-    copies lane-contiguous blocks instead of stride-``G`` gathers.  An
-    odd ``log2(G)`` runs one halving level up front; quad levels (two
-    bits per slot at once) carry the middle; a remaining factor of 16 is
-    fused into one :func:`_split16` bottom level (four bits per slot for
-    lanes where that pays).  The group slots come out in a fixed tree
-    order rather than thinning order; ``Multinomial(total, 1/G)`` is
-    exchangeable across slots, so any fixed slot order realizes the same
-    joint law.
+    writes contiguous category blocks (:func:`_quad_split` lands its
+    counts straight in the next level's buffer), and the final
+    ``(G, lanes)`` -> ``(..., G, ...)`` transpose copies lane-contiguous
+    blocks instead of stride-``G`` gathers.  An odd ``log2(G)`` runs one
+    halving level up front; quad levels (two bits per slot at once) carry
+    the rest.  The group slots come out in a fixed tree order rather than
+    thinning order; ``Multinomial(total, 1/G)`` is exchangeable across
+    slots, so any fixed slot order realizes the same joint law.
 
-    Returns a ``(num_groups, lanes)`` array backed by module scratch —
-    the caller must copy it out before the next kernel call.  A final
-    16-way level leaves it float64 (exact integer values, see
-    :data:`_HEX_MOBIUS`); every other ending leaves int64.
+    Returns a ``(num_groups, lanes)`` int64 array backed by module
+    scratch — the caller must copy it out before the next kernel call.
     """
     lanes = totals.size
     parts = totals.reshape(1, lanes).astype(np.int64, copy=True)

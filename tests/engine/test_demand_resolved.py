@@ -11,16 +11,14 @@ rows.  Its contracts:
   from the very first iteration (each layer's demand rows differ even on
   an identical placement stack);
 * a demand skew forced onto a later layer strictly changes that layer's
-  price while leaving every other layer's price untouched;
-* both engines (stacked and per-layer oracle) price the resolved path
-  bitwise identically.
+  price while leaving every other layer's price untouched.
 """
 
 import numpy as np
 import pytest
 
 from repro.balancer import GreedyBalancer, NoBalancer, NonInvasiveBalancer
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import EngineConfig, PricingConfig, ServingConfig, ServingSimulator
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
@@ -31,9 +29,7 @@ def make_simulator(
     num_layers=6,
     iterations=40,
     seed=17,
-    stacked=None,
-    group_split="gaussian",
-    **serving_kwargs,
+    **pricing,
 ):
     system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
     workload = GatingSimulator(
@@ -43,7 +39,7 @@ def make_simulator(
         mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=30),
         num_layers=num_layers,
         seed=seed,
-        group_split=group_split,
+        group_split="gaussian",
     )
     return ServingSimulator(
         system.device,
@@ -52,8 +48,9 @@ def make_simulator(
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(num_iterations=iterations, **serving_kwargs),
-        stacked=stacked,
+        serving_config=ServingConfig(
+            num_iterations=iterations, pricing=PricingConfig(**pricing)
+        ),
     )
 
 
@@ -126,30 +123,6 @@ class TestResolvedBehavior:
             for ours, ref in zip(resolved.records, broadcast.records)
         ]
         assert sum(diffs) >= len(diffs) - 1
-
-    @pytest.mark.parametrize("group_split", ["gaussian", "multinomial"])
-    def test_engines_match_bitwise(self, group_split):
-        """Stacked and per-layer engines share the resolved pricing path
-        (zero-copy share view vs per-epoch stack) bitwise."""
-
-        def run_engine(stacked):
-            simulator = make_simulator(
-                NoBalancer,
-                iterations=5,
-                stacked=stacked,
-                group_split=group_split,
-            )
-            if stacked:
-                simulator.engine.placement.add_replica(3, expert=0, device=15)
-            else:
-                simulator.balancers[3].placement.add_replica(0, 15)
-            return simulator.run()
-
-        stacked_trace = run_engine(True)
-        oracle_trace = run_engine(False)
-        for ours, ref in zip(stacked_trace.records, oracle_trace.records):
-            assert ours.latency == ref.latency
-            assert ours.alltoall_mean == ref.alltoall_mean
 
     def test_single_layer_falls_back_to_broadcast_path(self):
         """With one simulated layer there is nothing to resolve; the run

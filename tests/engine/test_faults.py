@@ -10,7 +10,7 @@ from repro.balancer import (
     NonInvasiveBalancer,
     TopologyAwareBalancer,
 )
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import BalancingConfig, EngineConfig, ServingConfig, ServingSimulator
 from repro.faults import DeviceFailure, FaultSchedule, LinkDegradation, Straggler
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
@@ -31,8 +31,7 @@ def make_simulator(
     iterations=30,
     seed=11,
     fault_schedule=None,
-    stacked=None,
-    **serving_kwargs,
+    balancing=None,
 ):
     system = build_wsc(QWEN3_235B, side=side, tp=4, mapping="er")
     workload = GatingSimulator(
@@ -50,8 +49,9 @@ def make_simulator(
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(num_iterations=iterations, **serving_kwargs),
-        stacked=stacked,
+        serving_config=ServingConfig(
+            num_iterations=iterations, balancing=balancing or BalancingConfig()
+        ),
         fault_schedule=fault_schedule,
     )
 
@@ -78,14 +78,6 @@ def fingerprint(record):
 
 
 class TestScheduleValidation:
-    def test_requires_stacked_engine(self):
-        with pytest.raises(ValueError, match="stacked engine"):
-            make_simulator(
-                GreedyBalancer,
-                stacked=False,
-                fault_schedule=FaultSchedule.single_failure(5, 3),
-            )
-
     def test_device_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             make_simulator(
@@ -218,7 +210,10 @@ class TestFailStopRecovery:
         absorb them — with 4 slots per survivor the repair completes."""
         schedule = FaultSchedule.correlated_failures(10, [4, 5, 6, 7])
         simulator = make_simulator(
-            GreedyBalancer, iterations=25, shadow_slots=4, fault_schedule=schedule
+            GreedyBalancer,
+            iterations=25,
+            balancing=BalancingConfig(shadow_slots=4),
+            fault_schedule=schedule,
         )
         trace = simulator.run()
         assert trace.records[10].faults_active == 4

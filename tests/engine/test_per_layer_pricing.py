@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 
 from repro.balancer import GreedyBalancer, NoBalancer, NonInvasiveBalancer
-from repro.engine import EngineConfig, ServingConfig, ServingSimulator
+from repro.engine import (
+    BalancingConfig,
+    EngineConfig,
+    PricingConfig,
+    ServingConfig,
+    ServingSimulator,
+)
 from repro.models import QWEN3_235B
 from repro.systems import build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
@@ -31,8 +37,7 @@ def make_simulator(
     num_layers=6,
     iterations=40,
     seed=17,
-    stacked=None,
-    **serving_kwargs,
+    balancing=None,
 ):
     system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
     workload = GatingSimulator(
@@ -50,13 +55,13 @@ def make_simulator(
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(
+        serving_config=ServingConfig(
             num_iterations=iterations,
-            per_layer_alltoall=per_layer_alltoall,
-            per_layer_demand=False,
-            **serving_kwargs,
+            balancing=balancing or BalancingConfig(),
+            pricing=PricingConfig(
+                per_layer_alltoall=per_layer_alltoall, per_layer_demand=False
+            ),
         ),
-        stacked=stacked,
     )
 
 
@@ -85,10 +90,14 @@ class TestPreMigrationOracle:
         for a migrating balancer."""
         warm = 15
         with_pricing = make_simulator(
-            GreedyBalancer, per_layer_alltoall=True, warmup_iters=warm
+            GreedyBalancer,
+            per_layer_alltoall=True,
+            balancing=BalancingConfig(warmup_iters=warm),
         ).run()
         broadcast = make_simulator(
-            GreedyBalancer, per_layer_alltoall=False, warmup_iters=warm
+            GreedyBalancer,
+            per_layer_alltoall=False,
+            balancing=BalancingConfig(warmup_iters=warm),
         ).run()
         for ours, ref in zip(
             with_pricing.records[:warm], broadcast.records[:warm]
@@ -158,24 +167,6 @@ class TestPostMigrationDivergence:
         )
         assert mean_diffs >= len(forced.records) - 1 > 0
         assert latency_diffs >= len(forced.records) - 1 > 0
-
-    def test_forced_migration_per_layer_engine_matches_stacked(self):
-        """Both engines share the layered pricing path bitwise."""
-
-        def run_engine(stacked):
-            simulator = make_simulator(
-                NoBalancer,
-                per_layer_alltoall=True,
-                iterations=5,
-                stacked=stacked,
-            )
-            if stacked:
-                simulator.engine.placement.add_replica(3, expert=0, device=15)
-            else:
-                simulator.balancers[3].placement.add_replica(0, 15)
-            return simulator.run()
-
-        assert_bit_identical(run_engine(True), run_engine(False))
 
 
 class TestFlagOff:

@@ -8,6 +8,7 @@ from repro.balancer import (
     NonInvasiveBalancer,
     TopologyAwareBalancer,
 )
+from repro.balancer.stacked import STACKED_BALANCERS
 from repro.engine import (
     BalancingConfig,
     EngineConfig,
@@ -20,7 +21,7 @@ from repro.systems import build_wsc
 from repro.workload import AzureLikeMixer, CHAT, CODING, MATH, PRIVACY, GatingSimulator
 
 
-def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **serving_kwargs):
+def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **sub_configs):
     system = build_wsc(QWEN3_235B, side=4, tp=4, mapping="er")
     if mixer is None:
         mixer = MATH
@@ -39,7 +40,7 @@ def make_simulator(balancer_cls, iterations=30, mixer=None, seed=3, **serving_kw
         workload,
         balancer_cls,
         engine_config=EngineConfig(tokens_per_group=64),
-        serving_config=ServingConfig.from_flat(num_iterations=iterations, **serving_kwargs),
+        serving_config=ServingConfig(num_iterations=iterations, **sub_configs),
     )
 
 
@@ -91,17 +92,25 @@ class TestBalancingEffects:
         )
 
     def test_side_channel_hides_invasive_migration(self):
-        trace = make_simulator(GreedyBalancer, migration_side_channel=True).run()
+        trace = make_simulator(
+            GreedyBalancer, balancing=BalancingConfig(migration_side_channel=True)
+        ).run()
         assert trace.num_migrations() > 0
         assert trace.total_migration_overhead() == 0.0
 
     def test_beta_limits_invasive_frequency(self):
-        frequent = make_simulator(GreedyBalancer, beta_iters=1, seed=5).run()
-        throttled = make_simulator(GreedyBalancer, beta_iters=25, seed=5).run()
+        frequent = make_simulator(
+            GreedyBalancer, balancing=BalancingConfig(beta_iters=1), seed=5
+        ).run()
+        throttled = make_simulator(
+            GreedyBalancer, balancing=BalancingConfig(beta_iters=25), seed=5
+        ).run()
         assert throttled.num_interruptions() <= frequent.num_interruptions()
 
     def test_warmup_defers_balancing(self):
-        trace = make_simulator(NonInvasiveBalancer, warmup_iters=12).run()
+        trace = make_simulator(
+            NonInvasiveBalancer, balancing=BalancingConfig(warmup_iters=12)
+        ).run()
         early = [r for r in trace.records if r.iteration < 12]
         assert all(record.migrations_started == 0 for record in early)
 
@@ -154,9 +163,7 @@ class TestTraceStats:
         with pytest.warns(UserWarning, match="per_layer_demand.*inert"):
             PricingConfig(per_layer_alltoall=False)
         with pytest.warns(UserWarning, match="inert"):
-            ServingConfig.from_flat(
-                per_layer_alltoall=False, per_layer_demand=True
-            )
+            PricingConfig(per_layer_alltoall=False, per_layer_demand=True)
 
     def test_explicit_broadcast_combos_do_not_warn(self):
         import warnings
@@ -166,9 +173,32 @@ class TestTraceStats:
             PricingConfig(per_layer_alltoall=False, per_layer_demand=False)
             PricingConfig(per_layer_alltoall=True, per_layer_demand=True)
             PricingConfig(per_layer_alltoall=True, per_layer_demand=False)
-            ServingConfig.from_flat(
-                per_layer_alltoall=False, per_layer_demand=False
+            ServingConfig(
+                pricing=PricingConfig(
+                    per_layer_alltoall=False, per_layer_demand=False
+                )
             )
+
+
+class TestBalancerSelection:
+    def test_strategy_without_stacked_twin_is_rejected(self):
+        """The engine runs every strategy through its StackedBalancer
+        twin; a Balancer subclass with none fails at construction."""
+
+        class CustomBalancer(GreedyBalancer):
+            pass
+
+        with pytest.raises(ValueError, match="CustomBalancer"):
+            make_simulator(CustomBalancer)
+
+    @pytest.mark.parametrize(
+        "balancer_cls",
+        [NoBalancer, GreedyBalancer, TopologyAwareBalancer, NonInvasiveBalancer],
+    )
+    def test_each_strategy_runs_through_its_stacked_twin(self, balancer_cls):
+        simulator = make_simulator(balancer_cls)
+        assert type(simulator.engine) is STACKED_BALANCERS[balancer_cls]
+        assert simulator.engine.invasive == balancer_cls.invasive
 
 
 class TestSteadyTail:

@@ -16,7 +16,14 @@ from repro.faults import FaultSchedule, Straggler
 from repro.models import QWEN3_235B
 from repro.serving import FrontendConfig, ServingFrontend
 from repro.systems import build_wsc
-from repro.workload import GatingSimulator, MATH
+from repro.workload import (
+    AzureLikeMixer,
+    CHAT,
+    CODING,
+    MATH,
+    PRIVACY,
+    GatingSimulator,
+)
 from repro.workload.arrivals import PoissonArrivals
 
 MODEL = replace(QWEN3_235B, name="qwen3-16e", num_experts=16)
@@ -131,6 +138,48 @@ class TestConservation:
                 assert request.first_token_s <= request.completed_s
                 assert request.ttft_s >= 0.0
                 assert request.tpot_s >= 0.0
+
+    def test_rejected_last_arrival_on_idle_system_terminates(self):
+        """Regression: when the final arrival is shed while nothing is
+        queued or in flight, the loop must end instead of reading the
+        next arrival from an empty pending queue."""
+        model = replace(QWEN3_235B, name="qwen3-64e", num_experts=64)
+        system = build_wsc(model, side=8, tp=4, mapping="er")
+        workload = GatingSimulator(
+            model,
+            num_groups=system.mapping.dp,
+            tokens_per_group=64,
+            mixer=AzureLikeMixer([CHAT, CODING, MATH, PRIVACY], period_iters=60),
+            num_layers=2,
+            seed=41,
+        )
+        simulator = ServingSimulator(
+            system.device,
+            model,
+            system.mapping,
+            workload,
+            NonInvasiveBalancer,
+            engine_config=EngineConfig(tokens_per_group=64),
+            serving_config=ServingConfig(num_iterations=30),
+        )
+        frontend = ServingFrontend(
+            simulator,
+            PoissonArrivals(rate=50.0, seed=11),
+            FrontendConfig(
+                num_requests=64,
+                seed=5,
+                max_queue_requests=32,
+                max_requests_per_backend=4,
+                ttft_deadline_s=1e-3,
+            ),
+        )
+        trace = frontend.run()
+        assert trace.requests[-1].rejected
+        summary = trace.summary()
+        assert summary.arrived == 64
+        assert summary.arrived == (
+            summary.completed + summary.rejected + summary.unfinished
+        )
 
 
 class TestAdmissionControl:
