@@ -25,28 +25,24 @@ through dense ``(group, dest) -> link`` operators, cached per
 section below.
 
 A third tier, :class:`SparseAllToAllPricer`, stores the same
-``(group, dest) -> link`` map in CSR form over only the *hosted*
-destination columns and their nonzero holder-route cells, pricing link
-volumes by gather + segmented ``bincount`` reduction instead of one dense
-matmul.  Its per-layer states are keyed on ``ExpertPlacement.version`` so
+``(group, dest) -> link`` map as one scipy CSR operator per *hosted*
+destination set — link-slot rows over only the hosted columns' nonzero
+holder-route cells — so a layer stack's link volumes are one sparse
+product ``operator @ cells`` instead of one dense matmul.  Its per-layer
+states are keyed on ``ExpertPlacement.version`` so
 migrations rebuild only the touched layers' rows; memory is bounded by
 replica count and route length, not ``O(G * D * links)``, which is what
 makes 1024+-device multi-wafer systems simulable.  See
 ``docs/pricing-operators.md`` for the model.
 """
 
-import os
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-
-try:  # pragma: no cover - exercised via the CSR fast path when present
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - CI legs without scipy
-    _scipy_sparse = None
+from scipy import sparse as scipy_sparse
 
 from repro import sanitize
 from repro.network.phase import (
@@ -379,19 +375,15 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 CSR_OPERATOR_MAX_DENSITY = 0.25
 
 
-def _csr_operator(operator: np.ndarray) -> "object | None":
-    """CSR form of a dense link operator when scipy + sparsity warrant it.
+def _csr_operator(operator: np.ndarray) -> "scipy_sparse.csr_array | None":
+    """CSR form of a dense link operator when sparsity warrants it.
 
-    Returns ``None`` when scipy is unavailable, the operator is too dense
-    to profit, or ``REPRO_ALLTOALL_CSR=0`` forces the pure-numpy product
-    (the fallback CI legs and the equivalence tests use the same switch).
+    Returns ``None`` when the operator is too dense to profit from CSR.
     """
-    if _scipy_sparse is None or os.environ.get("REPRO_ALLTOALL_CSR") == "0":
-        return None
     nnz = np.count_nonzero(operator)
     if nnz > CSR_OPERATOR_MAX_DENSITY * operator.size:
         return None
-    return _scipy_sparse.csr_array(operator)
+    return scipy_sparse.csr_array(operator)
 
 
 class LayeredAllToAllPricer:
@@ -620,9 +612,9 @@ def prefer_sparse_pricing(mapping: "Mapping") -> bool:
 # only the *hosted* destination columns (bounded by total replica count,
 # not D) can receive traffic, and a (group, dest) cell's routes touch only
 # the few links on its holders' paths, not all 2K link slots.  The sparse
-# tier below stores exactly the nonzero cells in CSR-style flat arrays and
-# prices a placement stack by gathering each layer's (demand @ shares)
-# cells into the entry list and reducing with one segmented bincount —
+# tier below stores exactly the nonzero cells as one scipy CSR operator
+# per hosted-destination set and prices a placement stack with one sparse
+# product over the columns of every layer's (demand @ shares) cells —
 # identical terms to the dense matmul, reassociated (~1e-12), at
 # O(nonzero entries) memory and work.
 
@@ -655,35 +647,35 @@ class _SparseDestRows:
 
 @dataclass
 class _SparseGather:
-    """Flattened pricing structure for one hosted-destination set.
+    """Pricing operator for one hosted-destination set.
 
     Shared by every layer state whose placement hosts exactly these
     destinations (before any migration that is *all* layers), and cached
     across placement epochs — a migration that returns to a previously
     seen hosted set pays nothing.
 
-    Entries are sorted by link slot (stable over the destination-major
-    build order), so per-link volumes reduce with ``np.add.reduceat``
-    over the run boundaries in ``row_starts`` — a segmented sum the
-    pricer batches across every layer sharing the gather.
+    ``operator`` is a ``(2K, num_groups * n)`` CSR matrix: row ``k`` is
+    link slot ``k`` (dispatch links first, then combine), column
+    ``group * n + pos`` the cell of ``group`` at hosted destination
+    ``dests[pos]``.  Its entries are the destination rows' entries sorted
+    by link slot (stable over the destination-major build order), so
+    ``indptr`` is the link-run boundaries and the per-link summation order
+    is deterministic; a stack of layers prices as ``operator @ cells``.
     """
 
     dests: np.ndarray  # (n,) hosted destination devices, ascending
-    cell: np.ndarray  # (nnz,) into raveled (num_groups, n) cell matrix
-    weight: np.ndarray  # (nnz,)
-    row_starts: np.ndarray  # (rows,) first entry of each link run
-    row_links: np.ndarray  # (rows,) link slot of each run, in [0, 2K)
+    operator: scipy_sparse.csr_array  # (2K, num_groups * n) link x cell
     latency: np.ndarray  # (2, num_groups, n) per-cell worst path latency
     dense_latency: np.ndarray  # (2,) latency maxima under dense demand
 
     @property
     def nbytes(self) -> int:
+        operator = self.operator
         return (
             self.dests.nbytes
-            + self.cell.nbytes
-            + self.weight.nbytes
-            + self.row_starts.nbytes
-            + self.row_links.nbytes
+            + operator.data.nbytes
+            + operator.indices.nbytes
+            + operator.indptr.nbytes
             + self.latency.nbytes
             + self.dense_latency.nbytes
         )
@@ -706,9 +698,9 @@ class SparseAllToAllPricer:
     exists only as flat nonzero entries per hosted destination
     (:class:`_SparseDestRows`), a placement prices through a
     :class:`_SparseLayerState` holding its hosted-column share matrix and
-    the shared :class:`_SparseGather`, and a stack of layers reduces with
-    blocked segmented sums (``np.add.reduceat`` over the gather's
-    link-sorted runs, batched across layers that share a gather).
+    the shared :class:`_SparseGather`, and a stack of layers prices with
+    one CSR product per gather (the gather's link-by-cell operator times
+    the cell columns of every layer that shares it).
 
     Incrementality is version-keyed at every level: states are cached per
     :class:`~repro.mapping.placement.ExpertPlacement` and revalidated
@@ -807,42 +799,41 @@ class SparseAllToAllPricer:
             self._gathers.move_to_end(dests)
             return gather
         n = len(dests)
-        idx_parts: list[np.ndarray] = []
-        weight_parts: list[np.ndarray] = []
-        cell_parts: list[np.ndarray] = []
+        two_k = 2 * self.num_links
+        num_cells = self.num_groups * n
         latency = np.zeros((2, self.num_groups, n))
+        link_parts = [np.empty(0, dtype=np.intp)]
+        weight_parts = [np.empty(0)]
+        cell_parts = [np.empty(0, dtype=np.intp)]
         for pos, dest in enumerate(dests):
             rows = self._rows_for(dest)
-            idx_parts.append(rows.link_idx)
+            link_parts.append(rows.link_idx)
             weight_parts.append(rows.weight)
             cell_parts.append(rows.group * n + pos)
             latency[:, :, pos] = rows.latency
-        if idx_parts:
-            link_idx = np.concatenate(idx_parts)
-            weight = np.concatenate(weight_parts)
-            cell = np.concatenate(cell_parts)
-            # Sort by link slot (stable over the destination-major build
-            # order, so the per-link summation order is deterministic) and
-            # record the run boundaries for segmented reduction.
-            order = np.argsort(link_idx, kind="stable")
-            link_idx = link_idx[order]
-            weight = weight[order]
-            cell = cell[order]
-            row_starts = np.flatnonzero(
-                np.r_[True, np.diff(link_idx) > 0]
-            )
-            row_links = link_idx[row_starts]
-        else:
-            cell = np.empty(0, dtype=np.intp)
-            weight = np.empty(0)
-            row_starts = np.empty(0, dtype=np.intp)
-            row_links = np.empty(0, dtype=np.intp)
+        link_idx = np.concatenate(link_parts)
+        # Sort by link slot, stable over the destination-major build order
+        # so the per-link summation order is deterministic; the link-run
+        # boundaries are then the CSR row pointers.
+        order = np.argsort(link_idx, kind="stable")
+        index_dtype = (
+            np.int32
+            if max(num_cells, link_idx.size) <= np.iinfo(np.int32).max
+            else np.int64
+        )
+        indptr = np.zeros(two_k + 1, dtype=index_dtype)
+        np.cumsum(np.bincount(link_idx, minlength=two_k), out=indptr[1:])
+        operator = scipy_sparse.csr_array(
+            (
+                np.concatenate(weight_parts)[order],
+                np.concatenate(cell_parts)[order].astype(index_dtype),
+                indptr,
+            ),
+            shape=(two_k, num_cells),
+        )
         gather = _SparseGather(
             dests=np.asarray(dests, dtype=np.intp),
-            cell=cell,
-            weight=weight,
-            row_starts=row_starts,
-            row_links=row_links,
+            operator=operator,
             latency=latency,
             dense_latency=(
                 latency.max(axis=(1, 2)) if n else np.zeros(2)
@@ -851,10 +842,9 @@ class SparseAllToAllPricer:
         sanitize.freeze(
             (
                 gather.dests,
-                gather.cell,
-                gather.weight,
-                gather.row_starts,
-                gather.row_links,
+                operator.data,
+                operator.indices,
+                operator.indptr,
                 gather.latency,
                 gather.dense_latency,
             )
@@ -916,70 +906,51 @@ class SparseAllToAllPricer:
         )
         return durations.sum(axis=1)
 
-    #: Layers reduced per segmented-sum batch.  Bounds the transient
-    #: ``(nnz, block)`` gather buffer (~200 MiB at 1024 devices) while
-    #: amortizing each link-run walk across the block's layers.
-    _LAYER_BLOCK = 8
-
     def _reduce(
         self, demand_bytes: np.ndarray, states: list, with_latencies: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Segmented reduction over every state's gathered entries.
+        """One CSR product per gather over its layers' cell columns.
 
         Layers sharing one gather (all of them, until a migration splits
-        the hosted sets) reduce together: their cell matrices become the
-        columns of one ``(cells, layers)`` block, a single fancy-index
-        pulls every entry's value for the whole block, and one
-        ``np.add.reduceat`` over the gather's link runs yields per-link
-        volumes for every layer at once.
+        the hosted sets) price together: one batched ``demand @ shares``
+        gives their ``(layers, groups, n)`` cells, whose raveled rows are
+        the columns ``operator @`` turns into per-link volumes for every
+        layer at once.  Under sparse demand the worst active path latency
+        per (layer, phase) is one masked max over the same cells.
         """
         num_layers = len(states)
-        two_k = 2 * self.num_links
         stacked = demand_bytes.ndim == 3
-        dense_demand = bool((demand_bytes > 0).all())
-        volumes = np.zeros((num_layers, two_k))
+        dense_demand = with_latencies and bool((demand_bytes > 0).all())
+        volumes = np.empty((num_layers, 2 * self.num_links))
         latencies = np.zeros((num_layers, 2)) if with_latencies else None
-        cells_by_layer: list[np.ndarray] = []
         layers_by_gather: dict[int, list[int]] = {}
-        gather_by_id: dict[int, _SparseGather] = {}
         for layer, state in enumerate(states):
-            demand = demand_bytes[layer] if stacked else demand_bytes
-            cells = demand @ state.shares_small
-            cells_by_layer.append(cells)
-            gather = state.gather
-            layers_by_gather.setdefault(id(gather), []).append(layer)
-            gather_by_id[id(gather)] = gather
+            layers_by_gather.setdefault(id(state.gather), []).append(layer)
+        for layers in layers_by_gather.values():
+            gather = states[layers[0]].gather
+            shares = np.stack([states[layer].shares_small for layer in layers])
+            demand = demand_bytes[layers] if stacked else demand_bytes
+            cells = np.matmul(demand, shares)
+            volumes[layers] = (
+                gather.operator @ cells.reshape(len(layers), -1).T
+            ).T
             if not with_latencies:
                 continue
             if dense_demand:
-                latencies[layer] = gather.dense_latency
-            elif gather.cell.size:
-                active = cells > 0
-                for phase in (0, 1):
-                    latencies[layer, phase] = np.where(
-                        active, gather.latency[phase], 0.0
-                    ).max()
-        for key, layers in layers_by_gather.items():
-            gather = gather_by_id[key]
-            if not gather.cell.size:
-                continue
-            for start in range(0, len(layers), self._LAYER_BLOCK):
-                block = layers[start : start + self._LAYER_BLOCK]
-                cell_cols = np.empty(
-                    (cells_by_layer[block[0]].size, len(block))
+                latencies[layers] = gather.dense_latency
+            else:
+                latency = np.broadcast_to(
+                    gather.latency, (len(layers), *gather.latency.shape)
                 )
-                for col, layer in enumerate(block):
-                    cell_cols[:, col] = cells_by_layer[layer].ravel()
-                values = cell_cols[gather.cell]
-                values *= gather.weight[:, None]
-                reduced = np.add.reduceat(values, gather.row_starts, axis=0)
-                volumes[np.ix_(block, gather.row_links)] = reduced.T
+                latencies[layers] = latency.max(
+                    axis=(2, 3), where=(cells > 0)[:, None], initial=0.0
+                )
         return volumes.reshape(num_layers, 2, self.num_links), latencies
 
     # -- memory accounting ----------------------------------------------
 
     def operator_nbytes(self) -> int:
-        """Bytes held by the operator structures (CSR rows + gathers).
+        """Bytes held by the operator structures (dest rows + gathers).
 
         Per-state share columns are excluded — they are the placement
         representation (the dense tier's share stacks are likewise not

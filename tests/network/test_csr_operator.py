@@ -1,19 +1,13 @@
 """CSR fast-path equivalence for the layered all-to-all volume product.
 
 The dense ``(groups * devices, 2 * links)`` operator is re-stored as
-scipy CSR when scipy is importable and the operator is sparse enough —
-the per-iteration product keeps the same terms in CSR summation order, so
-volumes are pinned to the dense matmul at ~1e-15 relative.  The
-``REPRO_ALLTOALL_CSR=0`` switch (the no-scipy CI legs' behavior) must
-fall back to the dense product exactly.
+scipy CSR when the operator is sparse enough — the per-iteration product
+keeps the same terms in CSR summation order, so volumes are pinned to the
+dense matmul at ~1e-15 relative.
 """
 
-import importlib
-
 import numpy as np
-import pytest
 
-import repro.network.alltoall as alltoall_mod
 from repro.mapping.base import ParallelismConfig
 from repro.mapping.er import ERMapping
 from repro.network.alltoall import (
@@ -22,8 +16,6 @@ from repro.network.alltoall import (
     _csr_operator,
 )
 from repro.topology.mesh import MeshTopology
-
-HAS_SCIPY = alltoall_mod._scipy_sparse is not None
 
 
 def make_pricer():
@@ -38,13 +30,6 @@ class TestCsrOperator:
         dense = np.ones((8, 8))
         assert _csr_operator(dense) is None
 
-    def test_env_switch_forces_dense(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLTOALL_CSR", "0")
-        sparse = np.zeros((64, 64))
-        sparse[0, 0] = 1.0
-        assert _csr_operator(sparse) is None
-
-    @pytest.mark.skipif(not HAS_SCIPY, reason="scipy not importable")
     def test_sparse_operator_converted(self):
         sparse = np.zeros((64, 64))
         sparse[::8, ::8] = 0.5
@@ -52,7 +37,6 @@ class TestCsrOperator:
         assert csr is not None
         np.testing.assert_array_equal(csr.toarray(), sparse)
 
-    @pytest.mark.skipif(not HAS_SCIPY, reason="scipy not importable")
     def test_density_threshold_boundary(self):
         op = np.zeros((10, 10))
         nnz = int(CSR_OPERATOR_MAX_DENSITY * op.size)
@@ -62,7 +46,6 @@ class TestCsrOperator:
         assert _csr_operator(op) is not None
 
 
-@pytest.mark.skipif(not HAS_SCIPY, reason="scipy not importable")
 class TestCsrVolumesMatchDense:
     def test_real_topology_operator_is_sparse_enough(self):
         pricer = make_pricer()
@@ -97,19 +80,3 @@ class TestCsrVolumesMatchDense:
         monkeypatch.setattr(pricer, "operator_csr", None)
         without = pricer.durations(demand, shares)
         np.testing.assert_allclose(with_csr, without, rtol=1e-12)
-
-
-class TestEnvFallbackEndToEnd:
-    def test_pricer_built_without_csr(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLTOALL_CSR", "0")
-        pricer = make_pricer()
-        assert pricer.operator_csr is None
-        rng = np.random.default_rng(5)
-        demand = rng.integers(0, 30, size=(3, pricer.num_groups, 16)).astype(
-            float
-        )
-        shares = rng.random((3, 16, pricer.num_devices))
-        shares /= shares.sum(axis=-1, keepdims=True)
-        cells, volumes = pricer.link_volumes(demand, shares)
-        assert np.isfinite(volumes).all()
-        assert volumes.shape == (3, 2, pricer.num_links)

@@ -1,11 +1,11 @@
 """Sparse incremental all-to-all pricing against the dense oracle.
 
 The :class:`SparseAllToAllPricer` stores only the nonzero holder-route
-cells of the ``(group, dest) -> link`` operator and reduces with a
-segmented bincount — the same terms as the dense matmul in a different
-associative order, so volumes and durations are pinned to the dense
-pricer (and the exact per-layer simulation) with tight relative
-tolerances.  The incremental contracts are structural: states revalidate
+cells of the ``(group, dest) -> link`` operator, as one CSR matrix per
+hosted-destination set, and prices with a sparse product — the same
+terms as the dense matmul in a different associative order, so volumes
+and durations are pinned to the dense pricer (and the exact per-layer
+simulation) with tight relative tolerances.  The incremental contracts are structural: states revalidate
 by placement version (migration-free lookups rebuild nothing, asserted
 via the rebuild counter), a delta-rebuilt state equals a from-scratch
 build bitwise, and the layered-plan cache keys on the pricing mode so a
@@ -211,16 +211,11 @@ class TestIncremental:
             delta = warm.state_for(placement)
             scratch = cold.state_for(placement)
             assert delta.version == placement.version
-            np.testing.assert_array_equal(
-                delta.gather.row_starts, scratch.gather.row_starts
-            )
-            np.testing.assert_array_equal(
-                delta.gather.row_links, scratch.gather.row_links
-            )
-            np.testing.assert_array_equal(
-                delta.gather.weight, scratch.gather.weight
-            )
-            np.testing.assert_array_equal(delta.gather.cell, scratch.gather.cell)
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(delta.gather.operator, part),
+                    getattr(scratch.gather.operator, part),
+                )
             np.testing.assert_array_equal(
                 delta.gather.latency, scratch.gather.latency
             )
@@ -327,6 +322,29 @@ class TestMemoryAccounting:
             pricer.state_for(p)
         assert 0 < pricer.operator_nbytes() < dense_operator_nbytes(mapping)
         assert pricer.peak_operator_nbytes >= pricer.operator_nbytes()
+
+    def test_operator_nbytes_counts_csr_components(self, mapping):
+        """Operator memory is the dest rows plus each gather's own CSR
+        arrays (int32 indices at these sizes) and latency tables."""
+        pricer = SparseAllToAllPricer(mapping)
+        placements = diverged_placements()
+        for p in placements:
+            pricer.state_for(p)
+        dest_rows = sum(rows.nbytes for rows in pricer._dest_rows.values())
+        gathers = 0
+        for gather in pricer._gathers.values():
+            operator = gather.operator
+            assert operator.indices.dtype == np.int32
+            assert operator.indptr.dtype == np.int32
+            gathers += (
+                operator.data.nbytes
+                + operator.indices.nbytes
+                + operator.indptr.nbytes
+                + gather.dests.nbytes
+                + gather.latency.nbytes
+                + gather.dense_latency.nbytes
+            )
+        assert pricer.operator_nbytes() == dest_rows + gathers
 
     def test_auto_rule_thresholds_on_dense_footprint(self, mapping):
         # 16 devices: a few-hundred-KB dense operator — dense stays.
