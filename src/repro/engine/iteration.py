@@ -10,7 +10,7 @@ both platforms) hides the shorter of compute/communication behind the
 longer, leaving ``max + min / stages`` per phase.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,6 +150,63 @@ class IterationSimulator:
             self._allreduce_cache[key] = result
         return result
 
+    def layer_breakdown(
+        self,
+        expert_loads: np.ndarray,
+        placement: ExpertPlacement,
+        dispatch: float,
+        combine: float,
+        migration_exposed: float = 0.0,
+        device_scale: np.ndarray | None = None,
+        tokens_per_group: int | None = None,
+    ) -> IterationBreakdown:
+        """One layer's breakdown around an already-priced all-to-all.
+
+        Assembles the attention roofline, the cached all-reduce, the MoE
+        roofline of ``expert_loads`` on ``placement`` and the caller's
+        ``dispatch``/``combine`` durations.  The serving loop feeds it
+        layer 0's row of the layer-batched price; :meth:`simulate_layer`
+        feeds it the per-flow :func:`simulate_alltoall` price.
+
+        Args:
+            expert_loads: (experts,) token loads routed this iteration.
+            placement: current expert placement (with replicas).
+            dispatch: dispatch phase duration in seconds.
+            combine: combine phase duration in seconds.
+            migration_exposed: invasive migration latency charged to this
+                layer's critical path.
+            device_scale: optional per-device compute slowdown multipliers
+                (straggler injection) applied to the MoE roofline.
+            tokens_per_group: per-group batch size for this iteration
+                (attention tokens + all-reduce volume); ``None`` keeps the
+                engine config's fixed batch, bit-identically.
+        """
+        config = self.config
+        if tokens_per_group is None:
+            tokens_per_group = config.tokens_per_group
+        elif tokens_per_group <= 0:
+            raise ValueError("tokens_per_group must be positive")
+        attention = self.compute.attention_time(
+            tokens=tokens_per_group,
+            context_len=config.context_len,
+            tp=self.mapping.tp,
+            decode=config.decode,
+        )
+        allreduce = self.simulate_allreduce(self.allreduce_volume(tokens_per_group))
+        moe = self.compute.moe_peak_time(
+            expert_loads, placement, device_scale=device_scale
+        )
+        return IterationBreakdown(
+            attention=attention,
+            allreduce=allreduce.duration,
+            dispatch=dispatch,
+            combine=combine,
+            moe=moe,
+            migration_exposed=migration_exposed,
+            pipeline_stages=config.pipeline_stages,
+            overlap=config.overlap,
+        )
+
     def simulate_layer(
         self,
         counts: np.ndarray,
@@ -158,19 +215,18 @@ class IterationSimulator:
         device_scale: np.ndarray | None = None,
         tokens_per_group: int | None = None,
     ) -> LayerSimulation:
-        """Simulate one sparse layer.
+        """Simulate one sparse layer, all-to-all flow by flow.
+
+        Prices dispatch/combine with :func:`simulate_alltoall`, whose
+        per-link byte maps back the link heatmaps; the serving loop prices
+        the same all-to-all through the layer-batched plan instead.
 
         Args:
             counts: (groups, experts) token counts routed this iteration.
             placement: current expert placement (with replicas).
-            migration_exposed: invasive migration latency charged to this
-                layer's critical path.
-            device_scale: optional per-device compute slowdown multipliers
-                (straggler injection) applied to the MoE roofline.
-            tokens_per_group: per-group batch size for this iteration
-                (attention tokens + all-reduce volume); ``None`` keeps the
-                engine config's fixed batch, bit-identically.  The MoE and
-                all-to-all sides already scale through ``counts``.
+            migration_exposed, device_scale, tokens_per_group: as in
+                :meth:`layer_breakdown`.  The MoE and all-to-all sides
+                scale with the batch through ``counts``.
         """
         counts = np.asarray(counts, dtype=float)
         if counts.shape != (self.mapping.dp, self.model.num_experts):
@@ -178,45 +234,25 @@ class IterationSimulator:
                 f"counts shape {counts.shape} != "
                 f"({self.mapping.dp}, {self.model.num_experts})"
             )
-        config = self.config
-        if tokens_per_group is None:
-            tokens_per_group = config.tokens_per_group
-        elif tokens_per_group <= 0:
-            raise ValueError("tokens_per_group must be positive")
-
-        attention = self.compute.attention_time(
-            tokens=tokens_per_group,
-            context_len=config.context_len,
-            tp=self.mapping.tp,
-            decode=config.decode,
-        )
-        allreduce = self.simulate_allreduce(self.allreduce_volume(tokens_per_group))
-
-        demand = counts * self.model.token_bytes
         alltoall = simulate_alltoall(
             self.mapping.topology,
-            demand,
+            counts * self.model.token_bytes,
             placement,
             self.mapping,
         )
-
-        expert_loads = counts.sum(axis=0)
-        moe = self.compute.moe_peak_time(
-            expert_loads, placement, device_scale=device_scale
-        )
-
-        breakdown = IterationBreakdown(
-            attention=attention,
-            allreduce=allreduce.duration,
-            dispatch=alltoall.dispatch.duration,
-            combine=alltoall.combine.duration,
-            moe=moe,
+        breakdown = self.layer_breakdown(
+            counts.sum(axis=0),
+            placement,
+            alltoall.dispatch.duration,
+            alltoall.combine.duration,
             migration_exposed=migration_exposed,
-            pipeline_stages=config.pipeline_stages,
-            overlap=config.overlap,
+            device_scale=device_scale,
+            tokens_per_group=tokens_per_group,
         )
         return LayerSimulation(
             breakdown=breakdown,
-            allreduce_result=allreduce,
+            allreduce_result=self.simulate_allreduce(
+                self.allreduce_volume(tokens_per_group)
+            ),
             alltoall_result=alltoall,
         )

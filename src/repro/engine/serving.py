@@ -17,9 +17,12 @@ proxy.  Callers name the strategy by its per-layer
 :data:`~repro.balancer.stacked.STACKED_BALANCERS` takes the same decisions
 as one such balancer per layer.
 
-Communication is priced per layer in both *placement* and *demand*: layer
-0 gets the full network simulation, and every other layer's MoE phase
-combines its own compute roofline with its own all-to-all price.  By
+Communication is priced per layer in both *placement* and *demand*: every
+layer's MoE phase combines its own compute roofline with its own
+all-to-all price, and every layer — layer 0 included — is priced through
+one layer-batched :class:`~repro.network.alltoall.LayeredDispatchPlan`
+(the flow-level :func:`~repro.network.alltoall.simulate_alltoall` stays
+off the serving path, as the oracle and the source of link heatmaps).  By
 default (``PricingConfig(per_layer_demand=True)``) the workload resolves
 group-level gating counts for every layer
 (:meth:`~repro.workload.gating.GatingSimulator.next_group_counts`), so
@@ -29,11 +32,12 @@ destination shares through the layer-batched
 skew reaches the pricer instead of broadcasting layer 0's rows.  With
 ``per_layer_demand=False`` the loop samples
 :meth:`~repro.workload.gating.GatingSimulator.next_loads` and restores the
-PR 4 demand-broadcast semantics bit-identically: layers whose placement
-content still matches layer 0 reuse its exactly-simulated collectives, and
-only migration-diverged layers are priced (against layer 0's demand).
+demand-broadcast semantics: layer 0's demand rows are priced once per
+placement content group, so layers whose content still matches layer 0
+share its price and only migration-diverged groups price differently.
 ``PricingConfig(per_layer_alltoall=False)`` further restores the plain
-layer-0-broadcast pricing of earlier releases.  Note that *traces* are not
+layer-0-broadcast pricing of earlier releases (layer 0's price charged to
+every layer).  Note that *traces* are not
 comparable across these modes or with pre-stacked releases: each samples
 the workload RNG stream differently (equally distributed layer totals,
 different draw counts).
@@ -106,11 +110,11 @@ class PricingConfig:
     Attributes:
         per_layer_alltoall: price each layer's all-to-all against its own
             placement once migrations make layers diverge (layers whose
-            placement content still matches layer 0 reuse its exactly
-            simulated collectives, so migration-free runs are bit-identical
-            either way).  Disable to restore the layer-0-broadcast pricing
-            of earlier releases — the pre-migration oracle the regression
-            tests pin against.
+            placement content still matches layer 0 share its price, so
+            migration-free runs are bit-identical either way).  Disable to
+            charge layer 0's price to every layer, the layer-0-broadcast
+            pricing of earlier releases — the pre-migration oracle the
+            regression tests pin against.
         per_layer_demand: resolve group-level gating demand for *every*
             layer (via :meth:`~repro.workload.gating.GatingSimulator.
             next_group_counts`) and price each layer's all-to-all against
@@ -561,10 +565,10 @@ class ServingSimulator:
                 tokens_per_group=tokens_per_group,
             )
             self._counts_buffer = counts
-            counts0 = counts[0]
         else:
-            # Group-resolved counts only for layer 0 (the one whose
-            # all-to-all is simulated); per-expert totals for every layer.
+            # Group-resolved counts only for layer 0 (whose demand rows
+            # every layer is priced against); per-expert totals for every
+            # layer.
             counts0, layer_loads = self.workload.next_loads(
                 tokens_per_group=tokens_per_group
             )
@@ -582,19 +586,51 @@ class ServingSimulator:
 
         exposed, started = self._maybe_rebalance(iteration)
 
-        # Full network + compute simulation on layer 0; one batched MoE
-        # roofline call for the rest.  Layer 0's collectives price every
-        # layer whose placement content still matches it; once migrations
-        # make layers diverge (and per_layer_alltoall is on), each
-        # diverged content group is priced against its own destination
-        # shares through the layer-batched dispatch plan.
-        sim = self.simulator.simulate_layer(
-            counts0,
+        # Every layer's dispatch/combine — layer 0's included — comes off
+        # the layer-batched plan (dense or sparse operator).  Resolved
+        # demand prices each layer against its own demand rows and
+        # placement; broadcast demand prices layer 0's rows once per
+        # placement content group.  Layer 0's row completes its breakdown.
+        pricing = self.serving_config.pricing
+        if pricing.per_layer_alltoall:
+            anchor, placements = self.engine.placement, self.layer_placements()
+        else:
+            # Layer 0's price is charged to every layer: price it alone.
+            anchor = self.layer_placement(0)
+            placements = [anchor]
+        plan = layered_dispatch_plan(
+            self.mapping, anchor, placements, sparse=self.sparse_pricing
+        )
+        a2a_layers = None
+        a2a_broadcast_layers = None
+        if counts is not None:
+            # Scale to bytes in place: layer 0's MoE roofline reads
+            # layer_loads, and the buffer is fully redrawn next iteration,
+            # so nothing reads the unscaled counts again.  On request the
+            # demand-broadcast price (layer 0's rows against every
+            # placement) rides along as the companion component; its
+            # content grouping still collapses layers.
+            demand_stack = counts
+            demand_stack *= self.model.token_bytes
+            phases = plan.alltoall_durations_resolved(demand_stack)
+            a2a_layers = phases.sum(axis=1)
+            if pricing.record_broadcast_price and not plan.uniform:
+                a2a_broadcast_layers = plan.alltoall_durations(
+                    demand_stack[0]
+                ).sum(axis=1)
+        else:
+            phases = plan.alltoall_durations(counts0 * self.model.token_bytes)
+            if not plan.uniform:
+                a2a_layers = phases.sum(axis=1)
+        dispatch, combine = phases[0].tolist()
+        breakdown = self.simulator.layer_breakdown(
+            layer_loads[0],
             self.layer_placement(0),
+            dispatch,
+            combine,
             device_scale=self._device_scale,
             tokens_per_group=tokens_per_group,
         )
-        breakdown = sim.breakdown
         if self._attention_scale != 1.0:
             # TP groups that lost members redistribute attention work over
             # the survivors; the slowest straggler paces the rest.  The
@@ -608,40 +644,6 @@ class ServingSimulator:
                     memory=attention.memory * self._attention_scale,
                 ),
             )
-
-        a2a_layers = None
-        a2a_broadcast_layers = None
-        if self.serving_config.pricing.per_layer_alltoall and self.num_layers > 1:
-            plan = layered_dispatch_plan(
-                self.mapping,
-                self.engine.placement,
-                self.layer_placements(),
-                sparse=self.sparse_pricing,
-            )
-            if counts is not None:
-                # Resolved demand: every later layer is priced against its
-                # own demand rows and its own placement.  On request the
-                # PR 4 demand-broadcast price rides along as the companion
-                # component (its content grouping still collapses layers,
-                # so it only prices diverged placement groups).
-                # Scale to bytes in place: layer 0 was simulated above from
-                # the raw counts, and the buffer is fully redrawn next
-                # iteration, so nothing reads the unscaled values again.
-                demand_stack = counts
-                demand_stack *= self.model.token_bytes
-                a2a_layers = plan.alltoall_durations_resolved(
-                    demand_stack, breakdown.alltoall
-                )
-                if (
-                    self.serving_config.pricing.record_broadcast_price
-                    and not plan.uniform
-                ):
-                    a2a_broadcast_layers = plan.alltoall_durations(
-                        demand_stack[0], breakdown.alltoall
-                    )
-            elif not plan.uniform:
-                demand = counts0 * self.model.token_bytes
-                a2a_layers = plan.alltoall_durations(demand, breakdown.alltoall)
 
         layer_totals = [breakdown.attention_phase + breakdown.moe_phase]
         if self.num_layers > 1:
@@ -675,8 +677,8 @@ class ServingSimulator:
             + repair_exposed
         )
 
-        # a2a_layers[0] is breakdown.alltoall verbatim (layer 0 anchors its
-        # content group), so the uniform case stays the exact scalar.
+        # a2a_layers[0] is breakdown.alltoall verbatim (dispatch + combine
+        # of the same row); a uniform broadcast stack keeps the exact scalar.
         a2a_mean = (
             breakdown.alltoall
             if a2a_layers is None
@@ -686,9 +688,9 @@ class ServingSimulator:
             a2a_broadcast = a2a_mean
         elif a2a_broadcast_layers is not None:
             a2a_broadcast = float(np.mean(a2a_broadcast_layers))
-        elif self.serving_config.pricing.record_broadcast_price:
-            # The companion broadcast price reduces to layer 0's exact
-            # price while the placement stack is still uniform.
+        elif pricing.record_broadcast_price:
+            # The companion broadcast price reduces to layer 0's price
+            # while the placement stack is still uniform.
             a2a_broadcast = breakdown.alltoall
         else:
             a2a_broadcast = float("nan")

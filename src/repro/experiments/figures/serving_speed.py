@@ -211,18 +211,18 @@ def run_point(params: dict) -> dict:
     dense_bytes = dense_operator_nbytes(system.mapping)
     operator_bytes = 0
     sparse_pricer = None
-    if per_layer:
-        # One-time per-mapping operator build, outside the timed loop
-        # (same role as the lazily-built topology route cache).  The
-        # sparse warm builds every layer's state; a migration-free run
-        # then performs zero rebuild work inside the clock.
-        if sparse:
-            sparse_pricer = sparse_alltoall_pricer(system.mapping)
-            for placement in simulator.layer_placements():
-                sparse_pricer.state_for(placement)
-        else:
-            alltoall_pricer(system.mapping)
-            operator_bytes = dense_bytes
+    # One-time per-mapping operator build, outside the timed loop (same
+    # role as the lazily-built topology route cache); every pricing mode,
+    # layer0 included, prices through it.  The sparse warm builds every
+    # layer's state; a migration-free run then performs zero rebuild work
+    # inside the clock.
+    if sparse:
+        sparse_pricer = sparse_alltoall_pricer(system.mapping)
+        for placement in simulator.layer_placements():
+            sparse_pricer.state_for(placement)
+    else:
+        alltoall_pricer(system.mapping)
+        operator_bytes = dense_bytes
     start = time.perf_counter()
     trace = simulator.run()
     wall = time.perf_counter() - start

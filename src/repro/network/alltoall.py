@@ -17,7 +17,8 @@ exactly the order the original per-entry loop visited them (kept below as
 :func:`loop_dispatch_traffic`, the reference oracle in the regression
 tests), so the aggregated volumes are bit-identical to the seed semantics.
 
-For the serving loop's layer stacks a second, layer-batched tier exists:
+The serving loop never builds a :class:`DispatchPlan`: it prices its layer
+stacks, layer 0 included, through a second, layer-batched tier.
 :class:`LayeredAllToAllPricer` and :class:`LayeredDispatchPlan` price every
 layer's all-to-all against its own (possibly migration-diverged) placement
 through dense ``(group, dest) -> link`` operators, cached per
@@ -353,18 +354,18 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 
 # -- layer-batched pricing ---------------------------------------------------
 #
-# After migrations the layers of one model no longer share a placement, so
-# layer 0's all-to-all price stops being representative.  The machinery
-# below prices every layer against its *own* destination shares without
-# simulating L independent collectives: a per-mapping
-# :class:`LayeredAllToAllPricer` folds holder fractions and CSR route
-# weights into dense ``(group, dest) -> link`` operators once, after which
-# a whole stack of placements is priced with two matmuls per iteration.
-# The per-link volumes equal the per-layer :func:`simulate_alltoall` sums
-# mathematically (same terms, associative reordering), not bitwise —
-# bit-exactness of the pre-migration oracle is preserved structurally by
-# :class:`LayeredDispatchPlan`, which reuses the exactly-priced layer-0
-# result for every layer whose placement content still matches layer 0's.
+# The serving loop prices every layer — layer 0 included — against its
+# *own* destination shares without simulating L independent collectives: a
+# per-mapping :class:`LayeredAllToAllPricer` folds holder fractions and CSR
+# route weights into dense ``(group, dest) -> link`` operators once, after
+# which a whole stack of placements is priced with two matmuls per
+# iteration.  The per-link volumes equal the per-layer
+# :func:`simulate_alltoall` sums mathematically (same terms, associative
+# reordering), not bitwise: the two agree to ~1e-12 relative, and
+# :func:`simulate_alltoall` with its :class:`DispatchPlan` stays as the
+# per-flow oracle and the source of link-level heatmaps.
+# :class:`LayeredDispatchPlan` collapses layers that share placement
+# content into one priced row when they also share demand.
 
 
 #: Nonzero fraction below which the dense pricer's operator is re-stored
@@ -499,7 +500,8 @@ class LayeredAllToAllPricer:
         shares: np.ndarray,
         dense_latencies: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Dispatch+combine durations per layer: ``(layers,)`` seconds.
+        """Per-phase durations per layer: ``(layers, 2)`` seconds,
+        dispatch in column 0 and combine in column 1.
 
         Each layer's phases follow :func:`simulate_phase`'s cut-through
         semantics (busiest-link drain plus worst active path latency),
@@ -533,10 +535,9 @@ class LayeredAllToAllPricer:
                 latencies[:, phase] = np.where(
                     ordered[rows, first], self._latency_sorted[phase, first], 0.0
                 )
-        durations = phase_durations_from_link_volumes(
+        return phase_durations_from_link_volumes(
             self.topology, volumes, latencies
         )
-        return durations.sum(axis=1)
 
     def traffic_tensor(
         self, demand_bytes: np.ndarray, shares: np.ndarray
@@ -890,7 +891,7 @@ class SparseAllToAllPricer:
     def durations(
         self, demand_bytes: np.ndarray, states: list
     ) -> np.ndarray:
-        """Dispatch+combine durations per layer state: ``(layers,)``.
+        """Per-phase durations per layer state: ``(layers, 2)``.
 
         Matches :meth:`LayeredAllToAllPricer.durations` on the same
         placements to summation-order rounding (~1e-12 relative): the
@@ -901,10 +902,9 @@ class SparseAllToAllPricer:
         volumes, latencies = self._reduce(
             demand_bytes, states, with_latencies=True
         )
-        durations = phase_durations_from_link_volumes(
+        return phase_durations_from_link_volumes(
             self.topology, volumes, latencies
         )
-        return durations.sum(axis=1)
 
     def _reduce(
         self, demand_bytes: np.ndarray, states: list, with_latencies: bool
@@ -982,37 +982,41 @@ def sparse_alltoall_pricer(mapping: "Mapping") -> SparseAllToAllPricer:
 class LayeredDispatchPlan:
     """Content-grouped pricing plan for one stack of per-layer placements.
 
-    Layers are grouped by placement *content* (the destination-share
-    digest from :meth:`~repro.mapping.placement.ExpertPlacement.content_key`):
-    every layer in layer 0's group reuses the serving loop's exactly-priced
-    layer-0 all-to-all — before any migration that is all layers, which
-    keeps the pre-migration trace bit-identical to the layer-0-broadcast
-    oracle — while each remaining group is priced once against its own
-    destination shares through the dense :class:`LayeredAllToAllPricer`.
-    The grouping and the stacked share tensor are iteration-invariant, so
-    :func:`layered_dispatch_plan` caches the plan per
-    ``(mapping, per-layer version vector)`` and migration-free iterations
-    never rebuild it.
+    This is the serving loop's only all-to-all pricing path: every layer,
+    layer 0 included, prices through the layer-batched operator.  Layers
+    are grouped by placement *content* (the destination-share digest from
+    :meth:`~repro.mapping.placement.ExpertPlacement.content_key`); under a
+    shared demand matrix (:meth:`alltoall_durations`) each content group is
+    priced once against its own destination shares and every layer of the
+    group takes its price — before any migration that is one group for the
+    whole stack.  The grouping and the share stacks are
+    iteration-invariant, so :func:`layered_dispatch_plan` caches the plan
+    per ``(mapping, per-layer version vector)`` and migration-free
+    iterations never rebuild it.
 
     Under *demand-resolved* pricing (:meth:`alltoall_durations_resolved`)
-    the content grouping no longer collapses layers — every layer past the
-    first carries its own demand rows, so all of them go through the dense
-    pricer each iteration regardless of placement content.  The plan then
-    serves as the per-placement-epoch cache of the share stack and its
-    dense-demand latency maxima: with a stacked engine the share stack is a
-    zero-copy view of the :class:`~repro.mapping.placement.StackedPlacement`
-    tensor (safe because any mutation bumps a layer version and retires
-    this plan), and the per-layer oracle engine pays one ``np.stack`` per
-    placement epoch.
+    the content grouping no longer collapses layers — every layer carries
+    its own demand rows, so all of them go through the pricer each
+    iteration regardless of placement content.  The plan then serves as
+    the per-placement-epoch cache of the share stack and its dense-demand
+    latency maxima: with a stacked engine the share stack is a zero-copy
+    view of the :class:`~repro.mapping.placement.StackedPlacement` tensor
+    (safe because any mutation bumps a layer version and retires this
+    plan); a plain list of placements pays one ``np.stack`` per placement
+    epoch.
 
-    With ``sparse=True`` the diverged groups and the resolved stack price
-    through the :class:`SparseAllToAllPricer` instead — same grouping and
-    same caching discipline, but the plan holds per-layer sparse states
+    With ``sparse=True`` both paths price through the
+    :class:`SparseAllToAllPricer` instead — same grouping and same caching
+    discipline, but the plan holds per-layer sparse states
     (version-validated against each placement) rather than dense share
     stacks, and the dense operator is never materialized.  A plan is built
     for exactly one mode; :func:`layered_dispatch_plan` keys its cache on
     the mode so toggling ``sparse_pricing`` mid-session can never serve a
     plan priced the other way.
+
+    The per-flow :func:`simulate_alltoall` path (link-level heatmaps) is
+    the oracle: both methods agree with it per layer to summation-order
+    rounding (~1e-12 relative).
     """
 
     def __init__(
@@ -1027,9 +1031,8 @@ class LayeredDispatchPlan:
         self.sparse_pricer = sparse_alltoall_pricer(mapping) if sparse else None
         self._placements = placements
         self._stacked_shares = stacked_shares
-        self._resolved_shares: np.ndarray | None = None
-        self._resolved_latencies: np.ndarray | None = None
-        self._resolved_states: list | None = None
+        #: resolved? -> dense (shares, latencies) or sparse state list.
+        self._stacks: dict[bool, object] = {}
         group_of_key: dict[bytes, int] = {}
         representatives: list[int] = []
         group_index = np.empty(len(placements), dtype=np.intp)
@@ -1045,117 +1048,79 @@ class LayeredDispatchPlan:
         self.group_index = group_index
         self.representatives = representatives
         #: True when every layer still shares layer 0's placement content —
-        #: the caller can skip pricing entirely and broadcast layer 0.
+        #: a shared demand matrix then prices every layer alike.
         self.uniform = self.num_groups == 1
-        if not self.uniform:
-            # Group 0 anchors layer 0 (first-occurrence numbering); only
-            # the diverged groups need a pricer.  Shares (dense) or layer
-            # states (sparse) and the dense-demand latency maxima are
-            # iteration-invariant, so both are frozen into the plan.
-            if sparse:
-                self._diverged_states = [
-                    self.sparse_pricer.state_for(placements[layer])
-                    for layer in representatives[1:]
+
+    def _dense_stack(self, layers: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Frozen share stack of ``layers`` + its dense-demand latencies."""
+        if self._stacked_shares is not None and len(layers) == len(
+            self._placements
+        ):
+            shares = self._stacked_shares
+        else:
+            shares = sanitize.freeze(
+                np.stack(
+                    [self._placements[layer].destination_shares for layer in layers]
+                )
+            )
+        return shares, sanitize.freeze(self.pricer.dense_demand_latencies(shares))
+
+    def _price(self, demand_bytes: np.ndarray, resolved: bool) -> np.ndarray:
+        """Per-phase durations of every layer (``resolved``) or of the
+        content-group representatives.
+
+        Each mode's share stack (dense) or state list (sparse) is built on
+        first use — a run pays only for the mode it prices — and kept for
+        the plan's placement epoch.  ``state_for`` is version-validated,
+        so unmutated layers reuse their cached sparse states across plans.
+        """
+        stack = self._stacks.get(resolved)
+        if stack is None:
+            layers = (
+                list(range(len(self._placements)))
+                if resolved
+                else self.representatives
+            )
+            if self.sparse:
+                stack = [
+                    self.sparse_pricer.state_for(self._placements[layer])
+                    for layer in layers
                 ]
             else:
-                self.diverged_shares = sanitize.freeze(
-                    np.stack(
-                        [
-                            placements[layer].destination_shares
-                            for layer in representatives[1:]
-                        ]
-                    )
-                )
-                self._dense_latencies = sanitize.freeze(
-                    self.pricer.dense_demand_latencies(self.diverged_shares)
-                )
+                stack = self._dense_stack(layers)
+            self._stacks[resolved] = stack
+        if self.sparse:
+            return self.sparse_pricer.durations(demand_bytes, stack)
+        shares, latencies = stack
+        return self.pricer.durations(demand_bytes, shares, latencies)
 
-    def alltoall_durations(
-        self, demand_bytes: np.ndarray, layer0_duration: float
-    ) -> np.ndarray:
-        """Per-layer dispatch+combine durations, ``(num_layers,)``.
+    def alltoall_durations(self, demand_bytes: np.ndarray) -> np.ndarray:
+        """Per-layer ``(num_layers, 2)`` dispatch/combine durations under
+        one shared ``(groups, experts)`` demand matrix.
 
-        ``layer0_duration`` is the exact :func:`simulate_alltoall` price of
-        layer 0, reused verbatim for its whole content group.
+        Each content group is priced once (layer 0's group first) and its
+        row is broadcast to every layer of the group.
         """
-        per_group = np.empty(self.num_groups)
-        per_group[0] = layer0_duration
-        if not self.uniform:
-            if self.sparse:
-                per_group[1:] = self.sparse_pricer.durations(
-                    demand_bytes, self._diverged_states
-                )
-            else:
-                per_group[1:] = self.pricer.durations(
-                    demand_bytes, self.diverged_shares, self._dense_latencies
-                )
-        return per_group[self.group_index]
+        return self._price(demand_bytes, resolved=False)[self.group_index]
 
-    def _resolved_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """Layers-past-the-first share stack + dense-demand latencies.
-
-        Built lazily (demand-broadcast users never pay for it) and frozen
-        into the plan, so migration-free iterations reuse both.
-        """
-        if self._resolved_shares is None:
-            if self._stacked_shares is not None:
-                self._resolved_shares = self._stacked_shares[1:]
-            else:
-                self._resolved_shares = sanitize.freeze(
-                    np.stack(
-                        [p.destination_shares for p in self._placements[1:]]
-                    )
-                )
-            self._resolved_latencies = sanitize.freeze(
-                self.pricer.dense_demand_latencies(self._resolved_shares)
-            )
-        return self._resolved_shares, self._resolved_latencies
-
-    def _resolved_state_list(self) -> list:
-        """Layers-past-the-first sparse states, built lazily like
-        :meth:`_resolved_stack`.  ``state_for`` is version-validated, so
-        unmutated layers reuse their cached states even across plans."""
-        if self._resolved_states is None:
-            self._resolved_states = [
-                self.sparse_pricer.state_for(placement)
-                for placement in self._placements[1:]
-            ]
-        return self._resolved_states
-
-    def alltoall_durations_resolved(
-        self, demand_stack: np.ndarray, layer0_duration: float
-    ) -> np.ndarray:
-        """Per-layer durations under per-layer demand, ``(num_layers,)``.
+    def alltoall_durations_resolved(self, demand_stack: np.ndarray) -> np.ndarray:
+        """Per-layer ``(num_layers, 2)`` durations under per-layer demand.
 
         ``demand_stack`` is the ``(layers, groups, experts)`` byte-demand
-        tensor.  Layer 0 keeps ``layer0_duration`` — the exact
-        :func:`simulate_alltoall` price of its own demand — and every other
-        layer is priced against its own placement *and* its own demand
-        rows, one batched operator product for the whole stack.  Content
-        groups cannot collapse here (two layers sharing placement content
-        still differ in demand), which is exactly the fidelity
-        demand-resolved pricing buys.
+        tensor.  Every layer — layer 0 included — is priced against its own
+        placement *and* its own demand rows, one batched operator product
+        for the whole stack.  Content groups cannot collapse here (two
+        layers sharing placement content still differ in demand), which is
+        exactly the fidelity demand-resolved pricing buys.
         """
-        num_layers = len(self.group_index)
-        durations = np.empty(num_layers)
-        durations[0] = layer0_duration
-        if num_layers > 1:
-            if self.sparse:
-                durations[1:] = self.sparse_pricer.durations(
-                    demand_stack[1:], self._resolved_state_list()
-                )
-            else:
-                shares, dense_latencies = self._resolved_stack()
-                durations[1:] = self.pricer.durations(
-                    demand_stack[1:], shares, dense_latencies
-                )
-        return durations
+        return self._price(demand_stack, resolved=True)
 
 
 #: anchor placement -> {(id(mapping), sparse):
 #:     (mapping weakref, version vector, plan)}.
-#: The anchor is the StackedPlacement (stacked engine) or layer 0's
-#: ExpertPlacement (per-layer engine); the version vector — one counter per
+#: The anchor is the StackedPlacement (a plan over the whole stack) or
+#: layer 0's ExpertPlacement (a plan over layer 0 alone, for the
+#: layer-0-broadcast pricing mode); the version vector — one counter per
 #: layer — invalidates the grouping exactly when a migration or eviction
 #: mutates any layer.  The pricing mode is part of the key: a plan is
 #: built for one mode, and toggling ``sparse_pricing`` mid-session must

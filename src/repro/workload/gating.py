@@ -161,9 +161,9 @@ class GatingSimulator:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance one iteration; return (layer-0 group counts, layer totals).
 
-        The serving loop resolves individual DP groups only on layer 0
-        (whose all-to-all is simulated in full); every other layer consumes
-        per-expert totals.  Summing ``num_groups`` iid multinomials equals
+        The broadcast-demand serving loop resolves individual DP groups
+        only on layer 0 (whose demand rows price every layer's
+        all-to-all); every other layer consumes per-expert totals.  Summing ``num_groups`` iid multinomials equals
         one multinomial with ``num_groups * selections`` trials, so layers
         past the first draw ``experts`` binomials instead of ``groups x
         experts`` — the layer-total distribution is exactly the seed's, at
@@ -215,8 +215,8 @@ class GatingSimulator:
         hierarchical and stays on the cheap large-``n`` path:
 
         1. Layer 0 keeps the exactly-resolved integer counts of
-           :meth:`next_loads` (its all-to-all is simulated in full), and
-           layers past the first draw the same layer-total multinomials —
+           :meth:`next_loads`, and layers past the first draw the same
+           layer-total multinomials —
            the first two RNG consumptions are bit-identical to
            :meth:`next_loads`, so layer totals match it exactly in
            distribution.

@@ -121,8 +121,9 @@ class TestZeroRebuilds:
         pricer = sparse_alltoall_pricer(sim.mapping)
         sim.run()
         built = pricer.state_rebuilds
-        # One state per priced layer (layers past the first), built once.
-        assert built == 7
+        # One state per priced layer (every layer, layer 0 included),
+        # built once.
+        assert built == 8
         make_more = make_simulator(NoBalancer, num_layers=8, sparse_pricing=True)
         del make_more  # (fresh simulators share the mapping-cached pricer)
         sim.serving_config = replace(sim.serving_config, num_iterations=5)
@@ -134,11 +135,11 @@ class TestZeroRebuilds:
         pricer = sparse_alltoall_pricer(sim.mapping)
         trace = sim.run()
         assert trace.num_migrations() > 0
-        # Every rebuild is one layer state: the initial 7 plus at most one
+        # Every rebuild is one layer state: the initial 8 plus at most one
         # per (mutated layer, migration epoch) — far below a per-iteration
-        # full rebuild of the 7-layer stack.
+        # full rebuild of the 8-layer stack.
         iterations = sim.serving_config.num_iterations
-        assert pricer.state_rebuilds < 7 * iterations
+        assert pricer.state_rebuilds < 8 * iterations
 
     def test_rebuild_counter_visible_through_the_plan(self):
         sim = make_simulator(NoBalancer, num_layers=4, sparse_pricing=True)

@@ -4,9 +4,10 @@ The :class:`LayeredAllToAllPricer` aggregates per-link volumes through
 dense ``(group, dest) -> link`` operators — the same terms the per-layer
 :class:`DispatchPlan` + :func:`simulate_phase` pipeline sums, in a
 different associative order — so traffic tensors and phase durations are
-pinned to the exact path with tight relative tolerances, while the
-structural guarantees (layer-0 group reuses the exact price verbatim,
-uniform stacks skip pricing entirely) are asserted bitwise.
+pinned to the exact path with tight relative tolerances, per phase and
+for every layer including layer 0, while the structural guarantees
+(layers of one content group share one priced row under shared demand,
+per-layer demand never collapses layers) are asserted bitwise.
 """
 
 import gc
@@ -62,6 +63,12 @@ def shares_stack(placements):
     return np.stack([p.destination_shares for p in placements])
 
 
+def exact_phases(mapping, demand, placement):
+    """(dispatch, combine) durations of the per-flow simulation."""
+    result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    return np.array([result.dispatch.duration, result.combine.duration])
+
+
 class TestPricerAgainstPerLayerOracle:
     def test_traffic_tensor_matches_dispatch_plans(self, mapping):
         placements = diverged_placements()
@@ -115,11 +122,12 @@ class TestPricerAgainstPerLayerOracle:
         durations = alltoall_pricer(mapping).durations(
             demand, shares_stack(placements)
         )
+        assert durations.shape == (len(placements), 2)
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placement, mapping
-            ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            np.testing.assert_allclose(
+                durations[layer], exact_phases(mapping, demand, placement),
+                **TIGHT,
+            )
 
     def test_dense_latencies_precompute_matches(self, mapping):
         placements = diverged_placements()
@@ -138,10 +146,13 @@ class TestLayeredPlan:
         placements = [ExpertPlacement(16, 16) for _ in range(4)]
         plan = LayeredDispatchPlan(mapping, placements)
         assert plan.uniform
-        durations = plan.alltoall_durations(
-            uniform_demand(4, 16, 256, 8, 100), layer0_duration=1.25e-5
+        demand = uniform_demand(4, 16, 256, 8, 100)
+        durations = plan.alltoall_durations(demand)
+        assert durations.shape == (4, 2)
+        assert durations.tolist() == [durations[0].tolist()] * 4
+        np.testing.assert_allclose(
+            durations[0], exact_phases(mapping, demand, placements[0]), **TIGHT
         )
-        assert durations.tolist() == [1.25e-5] * 4
 
     def test_groups_split_on_divergence(self, mapping):
         placements = diverged_placements()
@@ -151,20 +162,21 @@ class TestLayeredPlan:
         # Layers 0, 1, 3 still share layer 0's content group.
         assert plan.group_index.tolist() == [0, 0, 1, 0, 2]
         demand = uniform_demand(4, 16, 256, 8, 100)
-        layer0 = simulate_alltoall(
-            mapping.topology, demand, placements[0], mapping
-        ).duration
-        durations = plan.alltoall_durations(demand, layer0)
-        assert durations[0] == layer0
-        assert durations[1] == layer0
-        assert durations[3] == layer0
+        durations = plan.alltoall_durations(demand)
+        # Layer 0's group shares one row, priced like the per-flow oracle.
+        np.testing.assert_array_equal(durations[1], durations[0])
+        np.testing.assert_array_equal(durations[3], durations[0])
+        np.testing.assert_allclose(
+            durations[0], exact_phases(mapping, demand, placements[0]), **TIGHT
+        )
         # Diverged layers price against their own placements.
         for layer in (2, 4):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placements[layer], mapping
-            ).duration
-            assert durations[layer] != layer0
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            assert durations[layer].sum() != durations[0].sum()
+            np.testing.assert_allclose(
+                durations[layer],
+                exact_phases(mapping, demand, placements[layer]),
+                **TIGHT,
+            )
 
     def test_content_equal_layers_share_a_group(self, mapping):
         placements = [ExpertPlacement(16, 16, shadow_slots=2) for _ in range(4)]
@@ -173,10 +185,16 @@ class TestLayeredPlan:
         plan = LayeredDispatchPlan(mapping, placements)
         assert plan.num_groups == 2
         assert plan.group_index.tolist() == [0, 1, 0, 1]
-        durations = plan.alltoall_durations(
-            uniform_demand(4, 16, 256, 8, 100), layer0_duration=3.0e-6
-        )
-        assert durations[1] == durations[3]
+        demand = uniform_demand(4, 16, 256, 8, 100)
+        durations = plan.alltoall_durations(demand)
+        np.testing.assert_array_equal(durations[1], durations[3])
+        np.testing.assert_array_equal(durations[0], durations[2])
+        for layer in (0, 1):
+            np.testing.assert_allclose(
+                durations[layer],
+                exact_phases(mapping, demand, placements[layer]),
+                **TIGHT,
+            )
 
 
 class TestResolvedDemand:
@@ -198,16 +216,14 @@ class TestResolvedDemand:
         placements = diverged_placements()
         demand = self.demand_stack(sparse=sparse)
         plan = LayeredDispatchPlan(mapping, placements)
-        layer0 = simulate_alltoall(
-            mapping.topology, demand[0], placements[0], mapping
-        ).duration
-        durations = plan.alltoall_durations_resolved(demand, layer0)
-        assert durations[0] == layer0
-        for layer in range(1, len(placements)):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placements[layer], mapping
-            ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+        durations = plan.alltoall_durations_resolved(demand)
+        assert durations.shape == (len(placements), 2)
+        for layer, placement in enumerate(placements):
+            np.testing.assert_allclose(
+                durations[layer],
+                exact_phases(mapping, demand[layer], placement),
+                **TIGHT,
+            )
 
     def test_uniform_stack_still_resolves_demand(self, mapping):
         """Unlike the broadcast path, identical placement content must NOT
@@ -216,16 +232,14 @@ class TestResolvedDemand:
         plan = LayeredDispatchPlan(mapping, placements)
         assert plan.uniform
         demand = self.demand_stack(num_layers=4)
-        layer0 = simulate_alltoall(
-            mapping.topology, demand[0], placements[0], mapping
-        ).duration
-        durations = plan.alltoall_durations_resolved(demand, layer0)
-        for layer in range(1, 4):
-            exact = simulate_alltoall(
-                mapping.topology, demand[layer], placements[layer], mapping
-            ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
-        assert len(set(durations.tolist())) > 1
+        durations = plan.alltoall_durations_resolved(demand)
+        for layer in range(4):
+            np.testing.assert_allclose(
+                durations[layer],
+                exact_phases(mapping, demand[layer], placements[layer]),
+                **TIGHT,
+            )
+        assert len(set(durations.sum(axis=1).tolist())) > 1
 
     def test_forced_later_layer_demand_skew_changes_only_that_layer(
         self, mapping
@@ -241,10 +255,9 @@ class TestResolvedDemand:
         skewed[3] = 0.0
         skewed[3, :, 0] = demand[3].sum(axis=1) * 0.75
         skewed[3, :, 9] = demand[3].sum(axis=1) * 0.25
-        layer0 = 1.0e-5
-        base = plan.alltoall_durations_resolved(demand, layer0)
-        moved = plan.alltoall_durations_resolved(skewed, layer0)
-        assert moved[3] != base[3]
+        base = plan.alltoall_durations_resolved(demand)
+        moved = plan.alltoall_durations_resolved(skewed)
+        assert moved[3].sum() != base[3].sum()
         mask = np.arange(len(placements)) != 3
         np.testing.assert_array_equal(moved[mask], base[mask])
 
@@ -265,12 +278,16 @@ class TestResolvedDemand:
         placements = diverged_placements()
         demand = uniform_demand(4, 16, 256, 8, 100)
         fresh = LayeredDispatchPlan(mapping, placements)
-        reference = fresh.alltoall_durations(demand, layer0_duration=2.0e-6)
+        reference = fresh.alltoall_durations(demand)
         warmed = LayeredDispatchPlan(mapping, placements)
-        warmed.alltoall_durations_resolved(self.demand_stack(), 2.0e-6)
+        warmed.alltoall_durations_resolved(self.demand_stack())
         np.testing.assert_array_equal(
-            warmed.alltoall_durations(demand, layer0_duration=2.0e-6), reference
+            warmed.alltoall_durations(demand), reference
         )
+        # Group 0 (layers 0, 1, 3) against the per-flow oracle of layer 0.
+        exact = exact_phases(mapping, demand, placements[0])
+        for layer in (0, 1, 3):
+            np.testing.assert_allclose(reference[layer], exact, **TIGHT)
 
     def test_stacked_share_view_matches_restacked(self, mapping):
         """A plan fed the stacked engine's (layers, experts, devices) share
@@ -283,8 +300,8 @@ class TestResolvedDemand:
         )
         via_stack = LayeredDispatchPlan(mapping, placements)
         np.testing.assert_array_equal(
-            via_view.alltoall_durations_resolved(demand, 1.0e-6),
-            via_stack.alltoall_durations_resolved(demand, 1.0e-6),
+            via_view.alltoall_durations_resolved(demand),
+            via_stack.alltoall_durations_resolved(demand),
         )
 
 

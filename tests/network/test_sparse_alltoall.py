@@ -58,6 +58,12 @@ def shares_stack(placements):
     return np.stack([p.destination_shares for p in placements])
 
 
+def exact_phases(mapping, demand, placement):
+    """(dispatch, combine) durations of the per-flow simulation."""
+    result = simulate_alltoall(mapping.topology, demand, placement, mapping)
+    return np.array([result.dispatch.duration, result.combine.duration])
+
+
 def random_migrations(placements, rng, count):
     """Apply ``count`` random replica adds/drops across the stack."""
     applied = 0
@@ -102,11 +108,12 @@ class TestSparseAgainstDenseOracle:
         durations = sparse.durations(
             demand, [sparse.state_for(p) for p in placements]
         )
+        assert durations.shape == (len(placements), 2)
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placement, mapping
-            ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            np.testing.assert_allclose(
+                durations[layer], exact_phases(mapping, demand, placement),
+                **TIGHT,
+            )
 
     def test_demand_stack_matches_dense_pricer(self, mapping):
         placements = diverged_placements()
@@ -135,10 +142,10 @@ class TestSparseAgainstDenseOracle:
         demand = uniform_demand(4, 8, 256, 8, 100)
         durations = sparse.durations(demand, states)
         for layer, placement in enumerate(placements):
-            exact = simulate_alltoall(
-                mapping.topology, demand, placement, mapping
-            ).duration
-            assert durations[layer] == pytest.approx(exact, rel=1e-12)
+            np.testing.assert_allclose(
+                durations[layer], exact_phases(mapping, demand, placement),
+                **TIGHT,
+            )
 
     def test_active_masks_agree_with_dense(self, mapping):
         """Zero demand cells must deactivate exactly the same latency
@@ -275,11 +282,15 @@ class TestPlanModeCache:
         sparse_plan = layered_dispatch_plan(
             mapping, anchor, placements, sparse=True
         )
+        sparse_durations = sparse_plan.alltoall_durations(demand)
         np.testing.assert_allclose(
-            sparse_plan.alltoall_durations(demand, 2.0e-6),
-            dense_plan.alltoall_durations(demand, 2.0e-6),
-            **TIGHT,
+            sparse_durations, dense_plan.alltoall_durations(demand), **TIGHT
         )
+        # Layer 0's content group (layers 0, 1, 3) prices like the per-flow
+        # simulation of layer 0.
+        exact = exact_phases(mapping, demand, placements[0])
+        for layer in (0, 1, 3):
+            np.testing.assert_allclose(sparse_durations[layer], exact, **TIGHT)
 
     def test_mutation_invalidates_both_modes(self, mapping):
         placements = diverged_placements()
@@ -303,11 +314,18 @@ class TestPlanModeCache:
         )
         dense_plan = LayeredDispatchPlan(mapping, placements)
         sparse_plan = LayeredDispatchPlan(mapping, placements, sparse=True)
+        sparse_durations = sparse_plan.alltoall_durations_resolved(stack)
         np.testing.assert_allclose(
-            sparse_plan.alltoall_durations_resolved(stack, 1.0e-6),
-            dense_plan.alltoall_durations_resolved(stack, 1.0e-6),
+            sparse_durations,
+            dense_plan.alltoall_durations_resolved(stack),
             **TIGHT,
         )
+        for layer, placement in enumerate(placements):
+            np.testing.assert_allclose(
+                sparse_durations[layer],
+                exact_phases(mapping, stack[layer], placement),
+                **TIGHT,
+            )
 
 
 class TestMemoryAccounting:

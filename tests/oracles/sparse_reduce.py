@@ -121,9 +121,8 @@ def reduceat_reduce(
 def reduceat_durations(
     pricer, demand_bytes: np.ndarray, states: list
 ) -> np.ndarray:
-    """Dispatch+combine durations per layer state, ``(layers,)``."""
+    """Per-phase durations per layer state, ``(layers, 2)``."""
     volumes, latencies = reduceat_reduce(pricer, demand_bytes, states)
-    durations = phase_durations_from_link_volumes(
+    return phase_durations_from_link_volumes(
         pricer.topology, volumes, latencies
     )
-    return durations.sum(axis=1)

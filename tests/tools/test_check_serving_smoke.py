@@ -754,3 +754,70 @@ class TestSLOGates:
         out = capsys.readouterr().out
         assert "slo serving smoke ok" in out
         assert "p99 TTFT poisson_reference" in out
+
+
+class TestSLOReproduction:
+    """``--reproduces``: a rerun of the full spec against the tracked record."""
+
+    @staticmethod
+    def check(configs, reference_configs, tmp_path, *extra):
+        path = tmp_path / "BENCH_slo.json"
+        path.write_text(
+            json.dumps({"benchmark": "slo_serving", "configs": reference_configs})
+        )
+        return run_slo_checks(
+            configs, "--expect-slo", SLO_AXES[1], "--reproduces", str(path), *extra
+        )
+
+    def test_identical_record_reproduces(self, tmp_path):
+        assert self.check(slo_grid(), slo_grid(), tmp_path) == []
+
+    def test_float_within_tolerance_reproduces(self, tmp_path):
+        configs = slo_grid({"poisson_reference": {"ttft_p99_s": 0.004 * (1 + 1e-12)}})
+        reference = slo_grid({"poisson_reference": {"ttft_p99_s": 0.004}})
+        assert self.check(configs, reference, tmp_path) == []
+
+    def test_float_beyond_tolerance_fails(self, tmp_path):
+        configs = slo_grid({"poisson_reference": {"ttft_p99_s": 0.004 * (1 + 1e-8)}})
+        reference = slo_grid({"poisson_reference": {"ttft_p99_s": 0.004}})
+        errors = self.check(configs, reference, tmp_path)
+        assert any(
+            "poisson_reference.ttft_p99_s" in error and "does not reproduce" in error
+            for error in errors
+        )
+        assert self.check(configs, reference, tmp_path, "--reproduce-rtol", "1e-6") == []
+
+    def test_counts_must_match_exactly(self, tmp_path):
+        configs = slo_grid({"mmpp_bursty": {"completed": 79, "rejected": 17}})
+        errors = self.check(configs, slo_grid(), tmp_path)
+        assert any("mmpp_bursty.completed" in error for error in errors)
+        assert any("mmpp_bursty.rejected" in error for error in errors)
+
+    def test_count_turned_float_fails(self, tmp_path):
+        configs = slo_grid({"mmpp_bursty": {"completed": 80.0}})
+        errors = self.check(configs, slo_grid(), tmp_path)
+        assert any("mmpp_bursty.completed" in error for error in errors)
+
+    def test_nan_matches_nan_only(self, tmp_path):
+        nan = {"straggler_fault": {"tpot_p50_s": float("nan")}}
+        assert self.check(slo_grid(nan), slo_grid(nan), tmp_path) == []
+        errors = self.check(slo_grid(nan), slo_grid(), tmp_path)
+        assert any("straggler_fault.tpot_p50_s" in error for error in errors)
+
+    def test_config_order_and_fields_must_match(self, tmp_path):
+        reordered = list(reversed(slo_grid()))
+        errors = self.check(reordered, slo_grid(), tmp_path)
+        assert any("reference configs" in error for error in errors)
+        extra = slo_grid({"poisson_reference": {"new_metric": 1.0}})
+        errors = self.check(extra, slo_grid(), tmp_path)
+        assert any("new_metric" in error for error in errors)
+
+    def test_unreadable_reference(self, tmp_path):
+        errors = run_slo_checks(
+            slo_grid(),
+            "--expect-slo",
+            SLO_AXES[1],
+            "--reproduces",
+            str(tmp_path / "missing.json"),
+        )
+        assert any("cannot read reference" in error for error in errors)

@@ -51,6 +51,19 @@ the ``--max-p99-ttft`` budget:
         --expect-slo poisson_reference,poisson_diurnal_overload,mmpp_bursty,straggler_fault \
         --expect-arrival-rate 500 --max-p99-ttft 0.02
 
+With ``--reproduces`` an SLO record must also reproduce a reference
+record (the tracked ``BENCH_slo.json``): the same configs in the same
+order with the same fields, integers, booleans and strings equal, and
+floats equal to ``--reproduce-rtol`` relative (default 1e-9, the
+pinned-trace tolerance).  The front end runs on simulated time only, so
+a full rerun of the spec reproduces its tracked record on any host:
+
+    REPRO_RESULTS_DIR=/tmp/slo PYTHONPATH=src \
+        python -m repro.experiments run slo_serving --no-cache
+    python tools/ci/check_serving_smoke.py /tmp/slo/BENCH_slo.json \
+        --expect-slo poisson_reference,poisson_diurnal_overload,mmpp_bursty,straggler_fault \
+        --reproduces benchmarks/results/BENCH_slo.json
+
 This is the logic that used to live as an inline heredoc in
 ``.github/workflows/ci.yml``; as a checked-in module it has unit tests
 (``tests/tools/test_check_serving_smoke.py``) and can be run locally:
@@ -83,6 +96,7 @@ stderr (CI retries once on the assumption of a noisy runner).
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -234,6 +248,22 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="SLO records only: p99 TTFT budget in seconds for the "
         "reference config selected by --expect-arrival-rate (or for "
         "every non-faulted config when no rate is pinned)",
+    )
+    parser.add_argument(
+        "--reproduces",
+        default=None,
+        metavar="REFERENCE",
+        help="SLO records only: path of a reference record (the tracked "
+        "BENCH_slo.json) the record must reproduce — same configs and "
+        "fields, exact integers/booleans/strings, floats within "
+        "--reproduce-rtol",
+    )
+    parser.add_argument(
+        "--reproduce-rtol",
+        type=float,
+        default=1e-9,
+        help="relative tolerance on floats under --reproduces "
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--expect-faults",
@@ -417,6 +447,52 @@ def check_slo_record(data: dict, args: argparse.Namespace) -> list[str]:
                 errors.append(
                     f"{label}: p99 TTFT {p99 * 1e3:.1f} ms over the "
                     f"budget {args.max_p99_ttft * 1e3:.1f} ms"
+                )
+    if args.reproduces is not None:
+        try:
+            with open(args.reproduces) as handle:
+                reference = json.load(handle)
+        except (OSError, json.JSONDecodeError) as error:
+            errors.append(f"cannot read reference {args.reproduces}: {error}")
+        else:
+            errors.extend(
+                reproduction_errors(data, reference, args.reproduce_rtol)
+            )
+    return errors
+
+
+def _same_value(got, want, rtol: float) -> bool:
+    """Floats within ``rtol`` (NaN matches NaN); anything else exactly,
+    type included — a count that turns into a float is a change."""
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isnan(want) or math.isnan(got):
+            return math.isnan(want) and math.isnan(got)
+        return math.isclose(got, want, rel_tol=rtol, abs_tol=0.0)
+    return type(got) is type(want) and got == want
+
+
+def reproduction_errors(data: dict, reference: dict, rtol: float) -> list[str]:
+    """Every config field of ``data`` that differs from ``reference``."""
+    configs = data.get("configs") or []
+    expected = reference.get("configs") or []
+    names = [config.get("name") for config in configs]
+    expected_names = [config.get("name") for config in expected]
+    if names != expected_names:
+        return [f"configs {names} != reference configs {expected_names}"]
+    errors: list[str] = []
+    for config, want in zip(configs, expected):
+        label = config.get("name")
+        if config.keys() != want.keys():
+            errors.append(
+                f"{label}: fields {sorted(config.keys() ^ want.keys())} "
+                "differ from the reference"
+            )
+            continue
+        for key in sorted(want):
+            if not _same_value(config[key], want[key], rtol):
+                errors.append(
+                    f"{label}.{key}: {config[key]!r} does not reproduce "
+                    f"the reference {want[key]!r} (rtol {rtol:g})"
                 )
     return errors
 
