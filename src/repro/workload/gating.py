@@ -163,10 +163,11 @@ class GatingSimulator:
 
         The broadcast-demand serving loop resolves individual DP groups
         only on layer 0 (whose demand rows price every layer's
-        all-to-all); every other layer consumes per-expert totals.  Summing ``num_groups`` iid multinomials equals
-        one multinomial with ``num_groups * selections`` trials, so layers
-        past the first draw ``experts`` binomials instead of ``groups x
-        experts`` — the layer-total distribution is exactly the seed's, at
+        all-to-all); every other layer consumes per-expert totals.
+        Summing ``num_groups`` iid multinomials equals one multinomial
+        with ``num_groups * selections`` trials, so layers past the first
+        draw ``experts`` binomials instead of ``groups x experts`` — the
+        layer-total distribution is exactly the seed's, at
         ~``num_groups``x fewer RNG draws.  The stream differs from
         :meth:`next_counts` (fewer values consumed), so a given seed yields
         a different — equally distributed — trace realization.
@@ -216,10 +217,9 @@ class GatingSimulator:
 
         1. Layer 0 keeps the exactly-resolved integer counts of
            :meth:`next_loads`, and layers past the first draw the same
-           layer-total multinomials —
-           the first two RNG consumptions are bit-identical to
-           :meth:`next_loads`, so layer totals match it exactly in
-           distribution.
+           layer-total multinomials — the first two RNG consumptions are
+           bit-identical to :meth:`next_loads`, so layer totals match it
+           exactly in distribution.
         2. Each later layer's totals are resolved into DP groups under the
            *flat selection-slot* model — all ``groups x selections`` slots
            of a layer land independently, so a group's total fluctuates as

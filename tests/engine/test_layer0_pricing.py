@@ -140,23 +140,19 @@ def run_checked(simulator, iterations=24):
     return oracle, records
 
 
+@pytest.mark.parametrize("faults", [None, FAULTS], ids=["healthy", "faults"])
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("mode", list(MODES))
-def test_layer0_matches_flow_simulation(mode, sparse):
-    simulator = make_simulator(MODES[mode], sparse)
+def test_layer0_matches_flow_simulation(mode, sparse, faults):
+    simulator = make_simulator(MODES[mode], sparse, fault_schedule=faults)
     oracle, records = run_checked(simulator)
-    # Migrations moved layer 0's placement during the checked run.
-    assert max(oracle.placement_versions) > 0
-    assert sum(record.migrations_started for record in records) > 0
-
-
-@pytest.mark.parametrize("sparse", [False, True])
-@pytest.mark.parametrize("mode", list(MODES))
-def test_layer0_matches_flow_simulation_under_faults(mode, sparse):
-    simulator = make_simulator(MODES[mode], sparse, fault_schedule=FAULTS)
-    _oracle, records = run_checked(simulator)
-    assert records[-1].faults_active == 2
-    assert 5 in simulator.dead_devices()
+    if faults is None:
+        # Migrations moved layer 0's placement during the checked run.
+        assert max(oracle.placement_versions) > 0
+        assert sum(record.migrations_started for record in records) > 0
+    else:
+        assert records[-1].faults_active == 2
+        assert 5 in simulator.dead_devices()
 
 
 @pytest.mark.parametrize("sparse", [False, True])

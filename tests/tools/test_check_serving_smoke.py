@@ -785,7 +785,10 @@ class TestSLOReproduction:
             "poisson_reference.ttft_p99_s" in error and "does not reproduce" in error
             for error in errors
         )
-        assert self.check(configs, reference, tmp_path, "--reproduce-rtol", "1e-6") == []
+        data = {"configs": configs}
+        assert check_serving_smoke.reproduction_errors(
+            data, {"configs": reference}, rtol=1e-6
+        ) == []
 
     def test_counts_must_match_exactly(self, tmp_path):
         configs = slo_grid({"mmpp_bursty": {"completed": 79, "rejected": 17}})

@@ -54,7 +54,7 @@ the ``--max-p99-ttft`` budget:
 With ``--reproduces`` an SLO record must also reproduce a reference
 record (the tracked ``BENCH_slo.json``): the same configs in the same
 order with the same fields, integers, booleans and strings equal, and
-floats equal to ``--reproduce-rtol`` relative (default 1e-9, the
+floats equal to :data:`REPRODUCE_RTOL` relative (1e-9, the
 pinned-trace tolerance).  The front end runs on simulated time only, so
 a full rerun of the spec reproduces its tracked record on any host:
 
@@ -256,14 +256,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="SLO records only: path of a reference record (the tracked "
         "BENCH_slo.json) the record must reproduce — same configs and "
         "fields, exact integers/booleans/strings, floats within "
-        "--reproduce-rtol",
-    )
-    parser.add_argument(
-        "--reproduce-rtol",
-        type=float,
-        default=1e-9,
-        help="relative tolerance on floats under --reproduces "
-        "(default: %(default)s)",
+        f"rtol={REPRODUCE_RTOL:g}",
     )
     parser.add_argument(
         "--expect-faults",
@@ -455,10 +448,14 @@ def check_slo_record(data: dict, args: argparse.Namespace) -> list[str]:
         except (OSError, json.JSONDecodeError) as error:
             errors.append(f"cannot read reference {args.reproduces}: {error}")
         else:
-            errors.extend(
-                reproduction_errors(data, reference, args.reproduce_rtol)
-            )
+            errors.extend(reproduction_errors(data, reference))
     return errors
+
+
+#: Relative tolerance on floats under ``--reproduces``: the pinned-trace
+#: tolerance (``tests/engine/test_pinned_traces.py`` hashes floats at 9
+#: significant digits).
+REPRODUCE_RTOL = 1e-9
 
 
 def _same_value(got, want, rtol: float) -> bool:
@@ -471,7 +468,9 @@ def _same_value(got, want, rtol: float) -> bool:
     return type(got) is type(want) and got == want
 
 
-def reproduction_errors(data: dict, reference: dict, rtol: float) -> list[str]:
+def reproduction_errors(
+    data: dict, reference: dict, rtol: float = REPRODUCE_RTOL
+) -> list[str]:
     """Every config field of ``data`` that differs from ``reference``."""
     configs = data.get("configs") or []
     expected = reference.get("configs") or []
