@@ -875,6 +875,13 @@ class ServingSimulator:
         # interleaving; migrations execute in layer-major order either way.
         self.engine.evict_stale(trigger_heats)
         layer_plans = self.engine.plan(iteration)
+        # Migration pricing and the non-invasive split read one route per
+        # migration; compute a burst's new routes in one batch.
+        self.mapping.topology.prefetch_routes(
+            (migration.src, migration.dst)
+            for migrations in layer_plans
+            for migration in migrations
+        )
 
         exposed = 0.0
         started = 0

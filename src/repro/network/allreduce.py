@@ -90,6 +90,12 @@ def _run_ring_steps(
         link_bytes = {}
         total_volume = 0.0
         half = chunk / 2
+        topology.prefetch_routes(
+            (member, neighbour)
+            for group in groups
+            for i, member in enumerate(group)
+            for neighbour in (group[(i + 1) % n], group[(i - 1) % n])
+        )
         for group in groups:
             for i, member in enumerate(group):
                 for neighbour in (group[(i + 1) % n], group[(i - 1) % n]):

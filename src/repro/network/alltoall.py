@@ -49,14 +49,14 @@ from repro import sanitize
 from repro.network.phase import (
     PhaseResult,
     phase_durations_from_link_volumes,
-    route_pair_arrays,
+    route_rows,
     simulate_phase,
 )
 from repro.network.traffic import ArrayTrafficMatrix, TrafficMatrix
 from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.mapping.base import Mapping
+    from repro.mapping.base import HolderTable, Mapping
     from repro.mapping.placement import ExpertPlacement
 
 #: destinations(expert) -> [(device, share)], shares summing to 1.
@@ -369,8 +369,8 @@ def demand_from_counts(counts: np.ndarray, token_bytes: float) -> np.ndarray:
 
 
 #: Nonzero fraction below which the dense pricer's operator is re-stored
-#: as scipy CSR for the per-iteration volume product.  Mesh/torus route
-#: walks touch a handful of links per holder pair, so real operators sit
+#: as scipy CSR for the per-iteration volume product.  Mesh routes touch
+#: a handful of links per holder pair, so real operators sit
 #: around 2-5% density and the CSR product wins ~4x; near-dense operators
 #: (tiny test topologies) stay on the matmul.
 CSR_OPERATOR_MAX_DENSITY = 0.25
@@ -399,9 +399,9 @@ class LayeredAllToAllPricer:
     stack are one ``(layers, G*D) @ (G*D, 2K)`` product — dispatch and
     combine link blocks side by side (combine routes ``dest -> holder``).
     Worst path latencies reduce the same way from per-cell maxima.  Memory
-    is ``O(G * D * links)``; construction walks every holder pair's route
-    once, so the pricer is built once per mapping and cached by
-    :func:`alltoall_pricer`.
+    is ``O(G * D * links)``; construction scatters every destination
+    column from :func:`_dest_column`, so the pricer is built once per
+    mapping and cached by :func:`alltoall_pricer`.
     """
 
     def __init__(self, mapping: "Mapping") -> None:
@@ -416,23 +416,10 @@ class LayeredAllToAllPricer:
         groups, devices = self.num_groups, self.num_devices
         operator = np.zeros((groups, devices, 2 * num_links))
         cell_latency = np.zeros((2, groups, devices))
-        for group in range(groups):
-            for dest in range(devices):
-                for holder, fraction in self._table.entries(group, dest):
-                    if holder == dest:
-                        continue
-                    idx, weights, latency = route_pair_arrays(
-                        topology, holder, dest
-                    )
-                    operator[group, dest, idx] += fraction * weights
-                    if latency > cell_latency[0, group, dest]:
-                        cell_latency[0, group, dest] = latency
-                    idx, weights, latency = route_pair_arrays(
-                        topology, dest, holder
-                    )
-                    operator[group, dest, num_links + idx] += fraction * weights
-                    if latency > cell_latency[1, group, dest]:
-                        cell_latency[1, group, dest] = latency
+        for dest in range(devices):
+            column = _dest_column(topology, self._table, dest)
+            operator[column.group, dest, column.link_idx] = column.weight
+            cell_latency[:, :, dest] = column.latency
         self.operator = operator.reshape(groups * devices, 2 * num_links)
         #: CSR twin of ``operator`` for the volume product (None -> dense
         #: matmul).  Same terms, CSR summation order (~1e-15); prices are
@@ -625,10 +612,11 @@ class _SparseDestRows:
     """CSR rows of one destination column: every (group, dest) entry.
 
     Entries are grouped by ``group`` (ascending) and ordered by link index
-    within a group — the accumulation per cell is bit-identical to the
-    dense operator's (same holder walk, same fancy-index adds).  Depends
-    only on the mapping, so rows are built once per destination and shared
-    by every placement epoch and layer that hosts the destination.
+    within a group.  :func:`_dest_column` builds them, and the dense
+    operator scatters the same columns, so the two tiers' cells are
+    bit-identical.  Depends only on the mapping, so rows are built once
+    per destination and shared by every placement epoch and layer that
+    hosts the destination.
     """
 
     link_idx: np.ndarray  # (nnz,) into [0, 2 * num_links)
@@ -644,6 +632,55 @@ class _SparseDestRows:
             + self.group.nbytes
             + self.latency.nbytes
         )
+
+
+def _dest_column(
+    topology: Topology, table: "HolderTable", dest: int
+) -> _SparseDestRows:
+    """Every ``(group, dest)`` cell's link-slot entries for one destination.
+
+    Dispatch routes ``holder -> dest`` fill link slots ``[0, K)`` and
+    combine routes ``dest -> holder`` slots ``[K, 2K)``, each route row
+    weighted by its holder fraction.  The holder pairs of all groups come
+    from one slice of the holder table's CSR arrays and their route rows
+    from one :func:`route_rows` block per phase; one ``np.add.at`` in
+    (group, holder-table order) then repeats the per-holder scalar
+    accumulation addition for addition, so the cell weights are bitwise
+    those of a holder-by-holder walk.  Both pricers build their operators
+    from these columns.
+    """
+    num_groups = table.num_groups
+    num_links = len(topology.links)
+    two_k = 2 * num_links
+    cells = np.arange(num_groups) * table.num_devices + dest
+    starts = table.offsets[cells]
+    counts = table.offsets[cells + 1] - starts
+    entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(
+        counts.sum()
+    )
+    holders = table.holders[entries]
+    remote = holders != dest
+    holders = holders[remote]
+    fractions = table.fractions[entries][remote]
+    groups = np.repeat(np.arange(num_groups), counts)[remote]
+    here = np.full(holders.size, dest, dtype=np.intp)
+    keys = []
+    values = []
+    latency = np.zeros((2, num_groups))
+    for phase, (src, dst) in enumerate(((holders, here), (here, holders))):
+        offsets, link_idx, weights, path_latency = route_rows(topology, src, dst)
+        hops = np.diff(offsets)
+        keys.append(np.repeat(groups * two_k, hops) + (phase * num_links + link_idx))
+        values.append(np.repeat(fractions, hops) * weights)
+        np.maximum.at(latency[phase], groups, path_latency)
+    slots, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    weight = np.zeros(slots.size)
+    np.add.at(weight, inverse, np.concatenate(values))
+    group, link_idx = np.divmod(slots, two_k)
+    sanitize.freeze((link_idx, weight, group, latency))
+    return _SparseDestRows(
+        link_idx=link_idx, weight=weight, group=group, latency=latency
+    )
 
 
 @dataclass
@@ -708,8 +745,8 @@ class SparseAllToAllPricer:
     against ``placement.version``, so migration-free iterations rebuild
     nothing (``state_rebuilds`` stays flat — the regression tests assert
     on it) and a migration burst rebuilds only the mutated layers' states,
-    each of which is a share-column copy plus cache lookups (new
-    destinations pay their route walks once, in ``dest_row_builds``).
+    each of which is a share-column copy plus cache lookups (a new
+    destination pays its column build once, in ``dest_row_builds``).
     """
 
     #: Gather structures retained across placement epochs.  Serving runs
@@ -741,53 +778,7 @@ class SparseAllToAllPricer:
         rows = self._dest_rows.get(dest)
         if rows is not None:
             return rows
-        num_links = self.num_links
-        scratch = np.zeros(2 * num_links)
-        idx_parts: list[np.ndarray] = []
-        weight_parts: list[np.ndarray] = []
-        group_parts: list[np.ndarray] = []
-        latency = np.zeros((2, self.num_groups))
-        for group in range(self.num_groups):
-            touched: list[np.ndarray] = []
-            for holder, fraction in self._table.entries(group, dest):
-                if holder == dest:
-                    continue
-                idx, weights, path_latency = route_pair_arrays(
-                    self.topology, holder, dest
-                )
-                scratch[idx] += fraction * weights
-                touched.append(idx)
-                if path_latency > latency[0, group]:
-                    latency[0, group] = path_latency
-                idx, weights, path_latency = route_pair_arrays(
-                    self.topology, dest, holder
-                )
-                scratch[num_links + idx] += fraction * weights
-                touched.append(num_links + idx)
-                if path_latency > latency[1, group]:
-                    latency[1, group] = path_latency
-            if touched:
-                cols = np.unique(np.concatenate(touched))
-                values = scratch[cols].copy()
-                scratch[cols] = 0.0
-                idx_parts.append(cols)
-                weight_parts.append(values)
-                group_parts.append(np.full(cols.size, group, dtype=np.intp))
-        if idx_parts:
-            rows = _SparseDestRows(
-                link_idx=np.concatenate(idx_parts),
-                weight=np.concatenate(weight_parts),
-                group=np.concatenate(group_parts),
-                latency=latency,
-            )
-        else:
-            rows = _SparseDestRows(
-                link_idx=np.empty(0, dtype=np.intp),
-                weight=np.empty(0),
-                group=np.empty(0, dtype=np.intp),
-                latency=latency,
-            )
-        sanitize.freeze((rows.link_idx, rows.weight, rows.group, rows.latency))
+        rows = _dest_column(self.topology, self._table, dest)
         self._dest_rows[dest] = rows
         self.dest_row_builds += 1
         self._note_memory()

@@ -49,6 +49,14 @@ class _RouteCache:
     pre-merged for links shared between routes) plus the worst per-route
     latency, letting :func:`simulate_phase` charge a whole flow list with
     one ``bincount`` instead of walking Link objects.
+
+    :meth:`pair_rows` returns those rows for whole arrays of pairs as one
+    CSR block.  On meshes it reads the closed-form dimension-order paths
+    (:meth:`~repro.topology.mesh.MeshTopology.dimension_order_paths`), so a
+    destination column of route rows costs a few array operations, not one
+    route walk per pair; other topologies walk :meth:`pair` per pair.  The
+    per-pair memo behind :meth:`pair` and :meth:`rows_for` fills from the
+    same block.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -58,7 +66,11 @@ class _RouteCache:
         self.bandwidth = sanitize.freeze(
             np.array([topology.links[key].bandwidth for key in self.keys])
         )
+        self.latency = sanitize.freeze(
+            np.array([topology.links[key].latency for key in self.keys])
+        )
         self.num_links = len(self.keys)
+        self._closed_form = getattr(topology, "dimension_order_paths", None)
         self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
         # CSR table over pairs for the array-traffic fast path: pair key
         # src * num_devices + dst -> row; rows concatenate into flat
@@ -108,35 +120,114 @@ class _RouteCache:
         """(link indices, per-byte weights, path latency) for one pair."""
         entry = self._pairs.get((src, dst))
         if entry is None:
-            primary = self.topology.route(src, dst)
-            # O1TURN-style multipath: meshes split each flow evenly across
-            # the XY and YX dimension orders when they differ.
-            routes = [primary]
-            route_alternate = getattr(self.topology, "route_alternate", None)
-            if route_alternate is not None:
-                alternate = route_alternate(src, dst)
-                if [link.key for link in alternate] != [link.key for link in primary]:
-                    routes.append(alternate)
-            share = 1.0 / len(routes)
-            flat = np.array(
-                [self.index[link.key] for path in routes for link in path],
-                dtype=np.intp,
-            )
-            indices, counts = np.unique(flat, return_counts=True)
-            weights = share * counts
-            latency = max(
-                sum(link.latency for link in path) for path in routes
-            )
-            entry = sanitize.freeze((indices, weights, latency))
-            self._pairs[(src, dst)] = entry
-            self._row_of[src * self.topology.num_devices + dst] = len(
-                self._row_indices
-            )
-            self._row_indices.append(indices)
-            self._row_weights.append(weights)
-            self._row_latency.append(latency)
-            self._csr_dirty = True
+            self._fill(np.array([src]), np.array([dst]))
+            entry = self._pairs[(src, dst)]
         return entry
+
+    def pair_rows(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Route rows of many pairs as one CSR block.
+
+        Returns ``(offsets, indices, weights, latency)``: pair ``i``'s
+        link indices and weights are ``indices[offsets[i]:offsets[i + 1]]``
+        and the same slice of ``weights``, and its path latency is
+        ``latency[i]`` — bitwise what :meth:`pair` returns for it.  Mesh
+        rows come from the closed form and are not memoized.
+        """
+        if self._closed_form is None:
+            entries = [
+                self.pair(s, d) for s, d in zip(src.tolist(), dst.tolist())
+            ]
+            counts = np.array([entry[0].size for entry in entries], dtype=np.intp)
+            offsets = np.zeros(counts.size + 1, dtype=np.intp)
+            np.cumsum(counts, out=offsets[1:])
+            return sanitize.freeze(
+                (
+                    offsets,
+                    np.concatenate(
+                        [np.empty(0, dtype=np.intp)]
+                        + [entry[0] for entry in entries]
+                    ),
+                    np.concatenate([np.empty(0)] + [entry[1] for entry in entries]),
+                    np.array([entry[2] for entry in entries], dtype=float),
+                )
+            )
+        xy, yx = self._closed_form(src, dst)
+        # The YX alternate is a second route only where it differs from XY
+        # (source and destination differ in both coordinates).  The two
+        # routes then share no link and neither repeats one, so every link
+        # of a row carries its route share exactly once.
+        two_routes = (xy != yx).any(axis=1)
+        links = np.concatenate(
+            (xy, np.where(two_routes[:, None], yx, -1)), axis=1
+        )
+        links.sort(axis=1)
+        on_path = links >= 0
+        counts = on_path.sum(axis=1)
+        offsets = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        share = np.where(two_routes, 0.5, 1.0)
+        latency = np.maximum(self._path_latency(xy), self._path_latency(yx))
+        return sanitize.freeze(
+            (offsets, links[on_path], np.repeat(share, counts), latency)
+        )
+
+    def _path_latency(self, paths: np.ndarray) -> np.ndarray:
+        """Per-row latency sums of ``-1``-padded link-position paths.
+
+        Summed hop by hop in path order — ``np.add.accumulate`` never
+        reassociates — so each sum is bitwise the scalar
+        ``sum(link.latency for link in path)``; padding adds exact zeros.
+        """
+        if paths.shape[1] == 0:
+            return np.zeros(paths.shape[0])
+        hop_latency = np.where(paths >= 0, self.latency[paths], 0.0)
+        return np.add.accumulate(hop_latency, axis=1)[:, -1]
+
+    def prefetch(self, pairs: list[tuple[int, int]]) -> None:
+        """Memoize every listed pair's route row, the missing ones in one batch."""
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in self._pairs]
+        if missing:
+            src, dst = np.array(missing, dtype=np.intp).T
+            self._fill(src, dst)
+
+    def _fill(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Memoize the route rows of distinct, not yet cached pairs."""
+        if self._closed_form is None:
+            for s, d in zip(src.tolist(), dst.tolist()):
+                self._store(s, d, self._walk_pair(s, d))
+            return
+        offsets, indices, weights, latency = self.pair_rows(src, dst)
+        for row, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            lo, hi = offsets[row], offsets[row + 1]
+            self._store(
+                s, d, (indices[lo:hi], weights[lo:hi], float(latency[row]))
+            )
+
+    def _walk_pair(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """One pair's route row from the topology's Link route.
+
+        Only topologies without the mesh closed form get here; they route
+        each pair along a single path, with no O1TURN alternate.
+        """
+        path = self.topology.route(src, dst)
+        flat = np.array([self.index[link.key] for link in path], dtype=np.intp)
+        indices, counts = np.unique(flat, return_counts=True)
+        return indices, 1.0 * counts, sum(link.latency for link in path)
+
+    def _store(
+        self, src: int, dst: int, entry: tuple[np.ndarray, np.ndarray, float]
+    ) -> None:
+        indices, weights, latency = sanitize.freeze(entry)
+        self._pairs[(src, dst)] = (indices, weights, latency)
+        self._row_of[src * self.topology.num_devices + dst] = len(
+            self._row_indices
+        )
+        self._row_indices.append(indices)
+        self._row_weights.append(weights)
+        self._row_latency.append(latency)
+        self._csr_dirty = True
 
     def migration_pair(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
         """(bandwidths, latencies) of the primary route's links, cached."""
@@ -161,11 +252,12 @@ class _RouteCache:
 
     def rows_for(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """CSR row per (src, dst) pair, computing missing routes on demand."""
-        keys = src * self.topology.num_devices + dst
+        num_devices = self.topology.num_devices
+        keys = src * num_devices + dst
         rows = self._row_of[keys]
         if (rows < 0).any():
-            for position in np.nonzero(rows < 0)[0]:
-                self.pair(int(src[position]), int(dst[position]))
+            missing = np.unique(keys[rows < 0])
+            self._fill(missing // num_devices, missing % num_devices)
             rows = self._row_of[keys]
         if self._csr_dirty:
             self._cat_indices = np.concatenate(self._row_indices)
@@ -206,11 +298,23 @@ def route_pair_arrays(
     """Cached (link indices, per-byte link weights, path latency) for a pair.
 
     The same CSR route rows :func:`simulate_phase` charges flows with —
-    O1TURN splitting pre-merged into the weights — exposed so layer-batched
-    all-to-all pricing can fold them into dense link operators.  Treat the
-    returned arrays as frozen.
+    O1TURN splitting pre-merged into the weights.  On meshes the row comes
+    from the closed-form dimension-order paths, not a route walk; the
+    all-to-all pricers read whole destination columns of these rows at
+    once through :func:`route_rows`.  Treat the returned arrays as frozen.
     """
     return _route_cache(topology).pair(src, dst)
+
+
+def route_rows(
+    topology: Topology, src: np.ndarray, dst: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`route_pair_arrays` for whole arrays of pairs, as one CSR block.
+
+    Returns ``(offsets, link indices, weights, latency)`` with pair ``i``'s
+    row at ``offsets[i]:offsets[i + 1]`` — see :meth:`_RouteCache.pair_rows`.
+    """
+    return _route_cache(topology).pair_rows(src, dst)
 
 
 def phase_durations_from_link_volumes(
@@ -361,6 +465,7 @@ def _simulate_cut_through(
 ) -> PhaseResult:
     """Vectorized cut-through pricing: one bincount over cached routes."""
     cache = _route_cache(topology)
+    cache.prefetch([(src, dst) for src, dst, _volume in triples])
     pair = cache.pair
     index_arrays = []
     weight_arrays = []

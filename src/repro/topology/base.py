@@ -7,6 +7,7 @@ deterministic single-path routing function.  Devices always occupy node ids
 """
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.memo import instance_memo
@@ -94,6 +95,13 @@ class Topology(ABC):
         """Number of links on the route from src to dst."""
         return len(self.route(src, dst))
 
+    def prefetch_routes(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Compute the routes of many ``(src, dst)`` pairs ahead of use.
+
+        Topologies that memoize ``route`` fill the memo in one batch; the
+        default does nothing.
+        """
+
     def path_latency(self, src: int, dst: int) -> float:
         """Sum of per-hop link latencies along the route."""
         return sum(link.latency for link in self.route(src, dst))
@@ -120,7 +128,9 @@ class CachedRoutingMixin:
     Memoization is per instance (see :mod:`repro.memo`): an ``lru_cache``
     here would pin every topology — and its phase route cache — alive for
     the process lifetime, defeating the weakref-keyed caches layered on
-    mappings above.
+    mappings above.  :meth:`prefetch_routes` fills the same memo for many
+    pairs with one :meth:`_route_batch` call, which topologies with an
+    array form of their routing rule (meshes) override.
     """
 
     @instance_memo("_route_memo")
@@ -129,3 +139,16 @@ class CachedRoutingMixin:
 
     def route(self, src: int, dst: int) -> list[Link]:
         return list(self._cached_route(src, dst))
+
+    def prefetch_routes(self, pairs: Iterable[tuple[int, int]]) -> None:
+        memo = getattr(self, "_route_memo", None)
+        if memo is None:
+            memo = self._route_memo = {}
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in memo]
+        if missing:
+            for pair, path in zip(missing, self._route_batch(missing)):
+                memo[pair] = tuple(path)
+
+    def _route_batch(self, pairs: list[tuple[int, int]]) -> list[list[Link]]:
+        """Routes of many distinct pairs."""
+        return [self._route_impl(src, dst) for src, dst in pairs]

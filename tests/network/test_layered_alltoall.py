@@ -113,9 +113,13 @@ class TestPricerAgainstPerLayerOracle:
                 )
 
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_durations_match_per_layer_simulation(self, mapping, sparse):
-        placements = diverged_placements()
-        demand = uniform_demand(4, 16, 256, 8, 100)
+    def test_durations_match_per_layer_simulation(
+        self, equivalence_mapping, sparse
+    ):
+        mapping = equivalence_mapping
+        devices = mapping.topology.num_devices
+        placements = diverged_placements(num_experts=devices, num_devices=devices)
+        demand = uniform_demand(mapping.dp, devices, 256, 8, 100)
         if sparse:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0

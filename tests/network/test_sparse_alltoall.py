@@ -82,10 +82,23 @@ def random_migrations(placements, rng, count):
 
 
 class TestSparseAgainstDenseOracle:
+    """Every system has as many experts as devices; demand cells and
+    migrations are placed by index, so they exist at every size."""
+
+    @pytest.fixture
+    def mapping(self, equivalence_mapping):
+        return equivalence_mapping
+
+    @staticmethod
+    def sizes(mapping):
+        """(groups, experts = devices)."""
+        return mapping.dp, mapping.topology.num_devices
+
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_link_volumes_match_dense_pricer(self, mapping, zero_cells):
-        placements = diverged_placements()
-        demand = uniform_demand(4, 16, 256, 8, 100)
+        groups, devices = self.sizes(mapping)
+        placements = diverged_placements(num_experts=devices, num_devices=devices)
+        demand = uniform_demand(groups, devices, 256, 8, 100)
         if zero_cells:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
@@ -99,8 +112,9 @@ class TestSparseAgainstDenseOracle:
 
     @pytest.mark.parametrize("zero_cells", [False, True])
     def test_durations_match_per_layer_simulation(self, mapping, zero_cells):
-        placements = diverged_placements()
-        demand = uniform_demand(4, 16, 256, 8, 100)
+        groups, devices = self.sizes(mapping)
+        placements = diverged_placements(num_experts=devices, num_devices=devices)
+        demand = uniform_demand(groups, devices, 256, 8, 100)
         if zero_cells:
             demand[0, 3] = 0.0
             demand[2, :8] = 0.0
@@ -116,10 +130,11 @@ class TestSparseAgainstDenseOracle:
             )
 
     def test_demand_stack_matches_dense_pricer(self, mapping):
-        placements = diverged_placements()
+        groups, devices = self.sizes(mapping)
+        placements = diverged_placements(num_experts=devices, num_devices=devices)
         rng = np.random.default_rng(3)
-        stack = uniform_demand(4, 16, 256, 8, 100) * rng.uniform(
-            0.5, 1.5, size=(5, 4, 16)
+        stack = uniform_demand(groups, devices, 256, 8, 100) * rng.uniform(
+            0.5, 1.5, size=(5, groups, devices)
         )
         stack[1, 0, 3] = 0.0
         stack[3, 2, :8] = 0.0
@@ -132,14 +147,16 @@ class TestSparseAgainstDenseOracle:
     def test_hosted_subset_when_fewer_experts_than_devices(self, mapping):
         """With E < D only the hosting devices appear as destination
         columns — the sparse tier must price the subset exactly."""
+        groups, devices = self.sizes(mapping)
+        experts = devices // 2
         placements = [
-            ExpertPlacement(8, 16, shadow_slots=2) for _ in range(3)
+            ExpertPlacement(experts, devices, shadow_slots=2) for _ in range(3)
         ]
         placements[1].add_replica(2, 13)
         sparse = sparse_alltoall_pricer(mapping)
         states = [sparse.state_for(p) for p in placements]
-        assert states[0].gather.dests.size < 16
-        demand = uniform_demand(4, 8, 256, 8, 100)
+        assert states[0].gather.dests.size < devices
+        demand = uniform_demand(groups, experts, 256, 8, 100)
         durations = sparse.durations(demand, states)
         for layer, placement in enumerate(placements):
             np.testing.assert_allclose(
@@ -152,8 +169,9 @@ class TestSparseAgainstDenseOracle:
         pairs as the dense pricer: nonnegative dot products cannot round
         to a spurious zero, so the (cells > 0) masks agree bitwise and
         the latency maxima are equal, not just close."""
-        placements = diverged_placements()
-        demand = uniform_demand(4, 16, 256, 8, 100)
+        groups, devices = self.sizes(mapping)
+        placements = diverged_placements(num_experts=devices, num_devices=devices)
+        demand = uniform_demand(groups, devices, 256, 8, 100)
         demand[1, :] = 0.0
         demand[:, 7] = 0.0
         dense = alltoall_pricer(mapping)

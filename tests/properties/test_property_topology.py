@@ -1,8 +1,11 @@
 """Property-based tests for topologies."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.mesh_walk import walk, walk_migration_arrays, walk_pair_arrays
+from repro.network.phase import migration_route_arrays, route_pair_arrays, route_rows
 from repro.topology.mesh import Coord, MeshTopology, MultiWaferTopology
 from repro.topology.switched import DGXClusterTopology
 
@@ -48,6 +51,81 @@ class TestMeshRouting:
     def test_coord_roundtrip(self, case):
         mesh, src, _ = case
         assert mesh.device_at(mesh.coord_of(src)) == src
+
+
+@st.composite
+def meshes(draw):
+    """Single meshes (1xN, Nx1, odd and rectangular sides) and rows of
+    one to four wafers."""
+    if draw(st.booleans()):
+        return MeshTopology(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    return MultiWaferTopology(
+        draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    )
+
+
+def _keys(path):
+    return [link.key for link in path]
+
+
+def _float_bytes(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestClosedFormRoutesMatchWalker:
+    """The closed-form dimension-order routes equal the hop-by-hop walker
+    for every ordered pair, down to the route cache's arrays' bytes."""
+
+    @given(meshes())
+    @settings(max_examples=25, deadline=None)
+    def test_link_routes(self, mesh):
+        for src in mesh.devices:
+            for dst in mesh.devices:
+                assert _keys(mesh.route(src, dst)) == _keys(
+                    walk(mesh, src, dst, rows_first=True)
+                )
+                assert _keys(mesh.route_alternate(src, dst)) == _keys(
+                    walk(mesh, src, dst, rows_first=False)
+                )
+
+    @given(meshes())
+    @settings(max_examples=25, deadline=None)
+    def test_prefetched_routes(self, mesh):
+        """One batch fills the route memo for every pair."""
+        pairs = [(src, dst) for src in mesh.devices for dst in mesh.devices]
+        mesh.prefetch_routes(pairs)
+        assert len(mesh._route_memo) == len(pairs)
+        for src, dst in pairs:
+            assert _keys(mesh.route(src, dst)) == _keys(
+                walk(mesh, src, dst, rows_first=True)
+            )
+
+    @given(meshes())
+    @settings(max_examples=25, deadline=None)
+    def test_route_rows_bitwise(self, mesh):
+        src, dst = np.divmod(np.arange(mesh.num_devices**2), mesh.num_devices)
+        offsets, indices, weights, latency = route_rows(mesh, src, dst)
+        for row, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            want_indices, want_weights, want_latency = walk_pair_arrays(mesh, s, d)
+            got_indices, got_weights, got_latency = route_pair_arrays(mesh, s, d)
+            assert got_indices.dtype == want_indices.dtype
+            assert got_indices.tobytes() == want_indices.tobytes()
+            assert got_weights.tobytes() == want_weights.tobytes()
+            assert _float_bytes(got_latency) == _float_bytes(want_latency)
+            block = slice(offsets[row], offsets[row + 1])
+            assert indices[block].tobytes() == want_indices.tobytes()
+            assert weights[block].tobytes() == want_weights.tobytes()
+            assert _float_bytes(latency[row]) == _float_bytes(want_latency)
+
+    @given(meshes())
+    @settings(max_examples=25, deadline=None)
+    def test_migration_arrays_bitwise(self, mesh):
+        for src in mesh.devices:
+            for dst in mesh.devices:
+                got = migration_route_arrays(mesh, src, dst)
+                want = walk_migration_arrays(mesh, src, dst)
+                for got_part, want_part in zip(got, want):
+                    assert got_part.tobytes() == want_part.tobytes()
 
 
 class TestMultiWafer:
