@@ -2,6 +2,7 @@
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,30 +24,60 @@ class HolderTable:
     token-holder list is fixed; this materializes them once into CSR
     arrays (``offsets``/``holders``/``fractions``) that the array-native
     all-to-all pipeline slices without re-invoking per-pair callbacks.
-    Each row preserves its family's holder ordering exactly — the dispatch
-    plan's bit-compatibility with the per-entry loop depends on it.
+    Cell ``group * num_devices + dest`` owns entries
+    ``offsets[cell]:offsets[cell + 1]``.  Each row preserves its family's
+    holder ordering exactly — the dispatch plan's bit-compatibility with
+    the per-entry loop depends on it.
     """
 
     def __init__(
         self,
         num_groups: int,
         num_devices: int,
-        rows: list,
+        offsets: np.ndarray,
+        holders: np.ndarray,
+        fractions: np.ndarray,
     ) -> None:
+        offsets = np.asarray(offsets, dtype=np.intp)
+        holders = np.asarray(holders, dtype=np.intp)
+        fractions = np.asarray(fractions, dtype=float)
+        if offsets.shape != (num_groups * num_devices + 1,):
+            raise ValueError(
+                f"expected {num_groups * num_devices} rows, "
+                f"got {offsets.size - 1}"
+            )
+        if holders.shape != fractions.shape or offsets[-1] != holders.size:
+            raise ValueError(
+                f"offsets end at {offsets[-1]} but there are {holders.size} "
+                f"holders and {fractions.size} fractions"
+            )
+        self.num_groups = num_groups
+        self.num_devices = num_devices
+        self.offsets = offsets
+        self.holders = holders
+        self.fractions = fractions
+
+    @classmethod
+    def from_rows(cls, num_groups: int, num_devices: int, rows: list) -> "HolderTable":
+        """The table of per-cell ``[(holder, fraction), ...]`` rows, in
+        ``(group, dest)`` row-major order."""
         if len(rows) != num_groups * num_devices:
             raise ValueError(
                 f"expected {num_groups * num_devices} rows, got {len(rows)}"
             )
-        self.num_groups = num_groups
-        self.num_devices = num_devices
-        counts = np.array([len(row) for row in rows], dtype=np.intp)
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.holders = np.array(
-            [holder for row in rows for holder, _fraction in row],
-            dtype=np.intp,
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum([len(row) for row in rows], out=offsets[1:])
+        entries = np.fromiter(
+            chain.from_iterable(rows),
+            dtype=[("holder", np.intp), ("fraction", float)],
+            count=offsets[-1],
         )
-        self.fractions = np.array(
-            [fraction for row in rows for _holder, fraction in row]
+        return cls(
+            num_groups,
+            num_devices,
+            offsets,
+            entries["holder"].copy(),
+            entries["fraction"].copy(),
         )
 
     def entries(self, group: int, dest: int) -> tuple[tuple[int, float], ...]:
@@ -209,23 +240,30 @@ class Mapping(ABC):
     def token_holder_table(self) -> HolderTable:
         """The full token-holder relation as one precomputed array table.
 
-        Built lazily from :meth:`token_holders` over every
-        ``(group, dest)`` pair — each family's override (FTD-confined for
-        ER, mirror devices for HER, inverse-distance weighted for baseline
-        and GPU mappings) flows through unchanged — then cached for the
+        Built lazily by :meth:`_build_holder_table`, then cached for the
         mapping's lifetime.
         """
         table = self.__dict__.get("_holder_table")
         if table is None:
-            num_devices = self.topology.num_devices
-            rows = [
-                self.token_holders(group, dest)
-                for group in range(self.dp)
-                for dest in range(num_devices)
-            ]
-            table = HolderTable(self.dp, num_devices, rows)
+            table = self._build_holder_table()
             self._holder_table = table
         return table
+
+    def _build_holder_table(self) -> HolderTable:
+        """:meth:`token_holders` over every ``(group, dest)`` pair.
+
+        Each family's override (FTD-confined for ER, inverse-distance
+        weighted for baseline and GPU mappings) flows through unchanged.
+        Families whose holders have a closed form build the arrays
+        directly instead.
+        """
+        num_devices = self.topology.num_devices
+        rows = [
+            self.token_holders(group, dest)
+            for group in range(self.dp)
+            for dest in range(num_devices)
+        ]
+        return HolderTable.from_rows(self.dp, num_devices, rows)
 
     # -- attention all-reduce -------------------------------------------------
 

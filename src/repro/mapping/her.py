@@ -15,7 +15,9 @@ holder, never crossing a wafer border.
 """
 
 
-from repro.mapping.base import MeshMapping, ParallelismConfig, snake_order
+import numpy as np
+
+from repro.mapping.base import HolderTable, MeshMapping, ParallelismConfig, snake_order
 from repro.memo import instance_memo
 from repro.network.allreduce import CollectiveResult, _run_ring_steps
 from repro.topology.mesh import Coord, MultiWaferTopology
@@ -115,6 +117,30 @@ class HierarchicalERMapping(MeshMapping):
             mirror = mesh.device_at(Coord(local.x, col0 + local.y))
             holders.append((mirror, fraction))
         return tuple(holders)
+
+    def _build_holder_table(self) -> HolderTable:
+        """Every cell's mirror holders from one ``(group, wafer)`` array.
+
+        Holders depend only on the fetcher's wafer, so ``mirrors[g, w]``
+        lists group ``g``'s members moved to wafer ``w`` (same local
+        coordinate, member order kept) and the table's rows are one fancy
+        index of it by each device's wafer — the same rows, holder for
+        holder, as :meth:`token_holders`.
+        """
+        mesh = self.wafer_topology
+        x, y = np.divmod(np.array(self.tp_groups, dtype=np.intp), mesh.width)
+        on_wafer0 = x * mesh.width + y % mesh.wafer_width  # (groups, tp)
+        wafer_col0 = np.arange(mesh.num_wafers) * mesh.wafer_width
+        mirrors = on_wafer0[:, None, :] + wafer_col0[None, :, None]
+        device_wafer = np.arange(mesh.num_devices) % mesh.width // mesh.wafer_width
+        holders = mirrors[:, device_wafer, :].ravel()
+        return HolderTable(
+            self.dp,
+            mesh.num_devices,
+            np.arange(self.dp * mesh.num_devices + 1) * self.tp,
+            holders,
+            np.full(holders.size, 1.0 / self.tp),
+        )
 
     # -- hierarchical all-reduce ----------------------------------------------
 

@@ -9,6 +9,7 @@ Algorithm 1.
 
 import copy
 import hashlib
+from itertools import chain
 
 import numpy as np
 
@@ -173,13 +174,28 @@ class ExpertPlacement:
         between them.  Layers of a serving stack start identical and
         diverge only through migrations, which makes the key the natural
         grouping handle; it is recomputed lazily, only after a mutation.
+        The digest covers the matrix's shape and its nonzero entries — the
+        replica positions, expert-major with devices ascending, and their
+        shares — so it costs O(replicas), not O(experts * devices).  A
+        share is nonzero exactly on an expert's replicas, so two
+        placements' keys are equal exactly when their share matrices are.
         """
         cached = self._content_key
         if cached is not None and cached[0] == self._version:
             return cached[1]
-        digest = hashlib.blake2b(
-            self._dest_share.tobytes(), digest_size=16
-        ).digest()
+        experts = np.repeat(np.arange(self.num_experts), self._counts)
+        devices = np.fromiter(
+            chain.from_iterable(
+                sorted(self._replicas[expert]) for expert in range(self.num_experts)
+            ),
+            dtype=np.int64,
+            count=experts.size,
+        )
+        hasher = hashlib.blake2b(digest_size=16)
+        hasher.update(np.array(self._dest_share.shape, dtype=np.int64).tobytes())
+        hasher.update((experts * self.num_devices + devices).tobytes())
+        hasher.update(self._dest_share[experts, devices].tobytes())
+        digest = hasher.digest()
         self._content_key = (self._version, digest)
         return digest
 
@@ -238,7 +254,8 @@ class ExpertPlacement:
         self._counts[expert] -= 1
         self._shadow_counts[device] -= 1
         self._shadow_mask[expert, device] = False
-        self._dest_share[expert] = self._matrix[expert] / self._counts[expert]
+        count = self._counts[expert]
+        self._dest_share[expert] = self._matrix[expert] / count if count else 0.0
         self._version += 1
 
     def add_replicas(self, experts: np.ndarray, devices: np.ndarray) -> None:
@@ -301,8 +318,7 @@ class ExpertPlacement:
         np.subtract.at(self._counts, experts, 1)
         np.subtract.at(self._shadow_counts, devices, 1)
         self._shadow_mask[experts, devices] = False
-        rows = np.unique(experts)
-        self._dest_share[rows] = self._matrix[rows] / self._counts[rows, None]
+        self._refresh_shares(np.unique(experts))
         self._version += experts.size
 
     def fail_device(self, device: int) -> list[int]:
@@ -329,10 +345,7 @@ class ExpertPlacement:
         self._counts[rows] -= 1
         self._shadow_counts[device] = 0
         self._shadow_mask[:, device] = False
-        counts = self._counts[rows, None]
-        share_rows = np.zeros_like(self._matrix[rows])
-        np.divide(self._matrix[rows], counts, out=share_rows, where=counts > 0)
-        self._dest_share[rows] = share_rows
+        self._refresh_shares(rows)
         self._version += len(lost)
         return [expert for expert in lost if self._counts[expert] == 0]
 
@@ -374,6 +387,14 @@ class ExpertPlacement:
         self._version += dropped
 
     # -- internals ----------------------------------------------------------------
+
+    def _refresh_shares(self, rows: np.ndarray) -> None:
+        """Recompute the share rows of ``rows`` after their replicas
+        shrank; an expert left with no replica gets an all-zero row."""
+        counts = self._counts[rows, None]
+        share_rows = np.zeros_like(self._matrix[rows])
+        np.divide(self._matrix[rows], counts, out=share_rows, where=counts > 0)
+        self._dest_share[rows] = share_rows
 
     def _check_expert(self, expert: int) -> None:
         if not (0 <= expert < self.num_experts):

@@ -634,6 +634,39 @@ class _SparseDestRows:
         )
 
 
+def _ragged_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[i] : starts[i] + counts[i]``,
+    concatenated in run order."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(
+        counts.sum()
+    )
+
+
+def _distinct_rows(
+    table: "HolderTable", starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Groups with equal holder rows, found in one vectorized pass.
+
+    Row ``g`` is the table slice ``starts[g] : starts[g] + counts[g]``.
+    Returns ``(first, row_of)``: ``first[r]`` is the lowest group whose
+    row is distinct row ``r`` and ``row_of[g]`` the distinct row of group
+    ``g``.  Rows are equal when their holders and the bits of their
+    fractions are, entry for entry: each row becomes one fixed-width
+    byte key (holders, then fraction bits, padded with ``-1`` to the
+    longest row) and one ``np.unique`` groups equal keys.
+    """
+    entries = _ragged_take(starts, counts)
+    width = max(int(counts.max()), 1)
+    row = np.repeat(np.arange(counts.size), counts)
+    pos = entries - np.repeat(starts, counts)
+    padded = np.full((counts.size, 2, width), -1, dtype=np.int64)
+    padded[row, 0, pos] = table.holders[entries]
+    padded[row, 1, pos] = table.fractions[entries].view(np.int64)
+    keys = padded.reshape(counts.size, -1).view(np.dtype((np.void, 16 * width)))
+    _, first, row_of = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, row_of
+
+
 def _dest_column(
     topology: Topology, table: "HolderTable", dest: int
 ) -> _SparseDestRows:
@@ -641,13 +674,16 @@ def _dest_column(
 
     Dispatch routes ``holder -> dest`` fill link slots ``[0, K)`` and
     combine routes ``dest -> holder`` slots ``[K, 2K)``, each route row
-    weighted by its holder fraction.  The holder pairs of all groups come
-    from one slice of the holder table's CSR arrays and their route rows
-    from one :func:`route_rows` block per phase; one ``np.add.at`` in
-    (group, holder-table order) then repeats the per-holder scalar
-    accumulation addition for addition, so the cell weights are bitwise
-    those of a holder-by-holder walk.  Both pricers build their operators
-    from these columns.
+    weighted by its holder fraction.  Only distinct work is done: groups
+    whose holder rows are equal (HER groups at the same local coordinate
+    of different wafers pull from the same mirror set) are built once,
+    from the first such group's row, so each distinct row's remote
+    holders are routed once — both phases in one :func:`route_rows`
+    block.  One ``np.add.at`` in (distinct row, holder-row order) repeats
+    the per-holder scalar accumulation addition for addition, and the
+    distinct rows' entries are copied out to their groups in group order,
+    so the cell weights are bitwise those of a holder-by-holder walk.
+    Both pricers build their operators from these columns.
     """
     num_groups = table.num_groups
     num_links = len(topology.links)
@@ -655,28 +691,36 @@ def _dest_column(
     cells = np.arange(num_groups) * table.num_devices + dest
     starts = table.offsets[cells]
     counts = table.offsets[cells + 1] - starts
-    entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(
-        counts.sum()
-    )
+    first, row_of = _distinct_rows(table, starts, counts)
+    entries = _ragged_take(starts[first], counts[first])
     holders = table.holders[entries]
     remote = holders != dest
     holders = holders[remote]
     fractions = table.fractions[entries][remote]
-    groups = np.repeat(np.arange(num_groups), counts)[remote]
+    rows = np.repeat(np.arange(first.size), counts[first])[remote]
     here = np.full(holders.size, dest, dtype=np.intp)
-    keys = []
-    values = []
-    latency = np.zeros((2, num_groups))
-    for phase, (src, dst) in enumerate(((holders, here), (here, holders))):
-        offsets, link_idx, weights, path_latency = route_rows(topology, src, dst)
-        hops = np.diff(offsets)
-        keys.append(np.repeat(groups * two_k, hops) + (phase * num_links + link_idx))
-        values.append(np.repeat(fractions, hops) * weights)
-        np.maximum.at(latency[phase], groups, path_latency)
-    slots, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    weight = np.zeros(slots.size)
-    np.add.at(weight, inverse, np.concatenate(values))
-    group, link_idx = np.divmod(slots, two_k)
+    # Dispatch pairs first, then combine pairs.
+    offsets, link_idx, weights, path_latency = route_rows(
+        topology, np.concatenate((holders, here)), np.concatenate((here, holders))
+    )
+    phase = np.repeat([0, 1], holders.size)
+    pair_row = np.tile(rows, 2)
+    hops = np.diff(offsets)
+    keys = np.repeat(pair_row * two_k + phase * num_links, hops) + link_idx
+    values = np.repeat(np.tile(fractions, 2), hops) * weights
+    latency = np.zeros((2, first.size))
+    np.maximum.at(latency, (phase, pair_row), path_latency)
+    slots, inverse = np.unique(keys, return_inverse=True)
+    row_weight = np.zeros(slots.size)
+    np.add.at(row_weight, inverse, values)
+    slot_row, row_link = np.divmod(slots, two_k)
+    row_size = np.bincount(slot_row, minlength=first.size)
+    sizes = row_size[row_of]
+    picked = _ragged_take((np.cumsum(row_size) - row_size)[row_of], sizes)
+    link_idx = row_link[picked]
+    weight = row_weight[picked]
+    group = np.repeat(np.arange(num_groups), sizes)
+    latency = latency[:, row_of]
     sanitize.freeze((link_idx, weight, group, latency))
     return _SparseDestRows(
         link_idx=link_idx, weight=weight, group=group, latency=latency
@@ -726,6 +770,41 @@ class _SparseLayerState:
     version: int
     gather: _SparseGather
     shares_small: np.ndarray  # (experts, n) shares over hosted dests only
+    #: ``shares_small``'s nonzeros, column by column with experts
+    #: ascending in each: the terms of the layer's cells.
+    share_expert: np.ndarray  # (nnz,) expert of each nonzero
+    share_column: np.ndarray  # (nnz,) hosted column of each nonzero
+    share_value: np.ndarray  # (nnz,) its share
+    share_rank: np.ndarray  # (nnz,) its position within its column
+
+
+def _share_cells(
+    demand: np.ndarray, states: list[_SparseLayerState], n: int
+) -> np.ndarray:
+    """``demand @ shares_small`` of a layer stack from the shares' nonzeros.
+
+    ``demand`` is one shared ``(groups, experts)`` matrix or one
+    ``(groups, experts)`` row block per state; returns ``(layers,
+    groups, n)`` cells.  A hosted column has only its few replicas'
+    terms, so each cell adds its nonzero terms in ascending expert
+    order, one rank of the columns at a time, instead of a dense batched
+    matmul (whose first threaded BLAS call in a process can stall for a
+    second).  With at most one term per cell, or exact products, the
+    cells equal the matmul's bitwise.
+    """
+    sizes = [state.share_expert.size for state in states]
+    layer = np.repeat(np.arange(len(states)), sizes)
+    expert = np.concatenate([state.share_expert for state in states])
+    column = np.concatenate([state.share_column for state in states])
+    value = np.concatenate([state.share_value for state in states])
+    rank = np.concatenate([state.share_rank for state in states])
+    rows = demand[layer, :, expert] if demand.ndim == 3 else demand[:, expert].T
+    terms = rows * value[:, None]
+    cells = np.zeros((len(states), demand.shape[-2], n))
+    for position in range(int(rank.max(initial=-1)) + 1):
+        pick = rank == position
+        cells[layer[pick], :, column[pick]] += terms[pick]
+    return cells
 
 
 class SparseAllToAllPricer:
@@ -762,6 +841,7 @@ class SparseAllToAllPricer:
         self.num_links = len(topology.links)
         self._table = mapping.token_holder_table()
         self._dest_rows: dict[int, _SparseDestRows] = {}
+        self._dest_rows_nbytes = 0  # running sum over _dest_rows
         self._gathers: "OrderedDict[tuple, _SparseGather]" = OrderedDict()
         self._states: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         #: Layer states (re)built — flat across migration-free iterations.
@@ -780,6 +860,7 @@ class SparseAllToAllPricer:
             return rows
         rows = _dest_column(self.topology, self._table, dest)
         self._dest_rows[dest] = rows
+        self._dest_rows_nbytes += rows.nbytes
         self.dest_row_builds += 1
         self._note_memory()
         return rows
@@ -806,8 +887,14 @@ class SparseAllToAllPricer:
         link_idx = np.concatenate(link_parts)
         # Sort by link slot, stable over the destination-major build order
         # so the per-link summation order is deterministic; the link-run
-        # boundaries are then the CSR row pointers.
-        order = np.argsort(link_idx, kind="stable")
+        # boundaries are then the CSR row pointers.  The keys are sorted
+        # as the smallest unsigned type that holds every slot (uint16 up
+        # to 32767 links), which numpy sorts stably by radix; a stable
+        # sort's permutation depends only on the key order, so it is the
+        # one the intp keys give.
+        order = np.argsort(
+            link_idx.astype(np.min_scalar_type(two_k)), kind="stable"
+        )
         index_dtype = (
             np.int32
             if max(num_cells, link_idx.size) <= np.iinfo(np.int32).max
@@ -818,7 +905,7 @@ class SparseAllToAllPricer:
         operator = scipy_sparse.csr_array(
             (
                 np.concatenate(weight_parts)[order],
-                np.concatenate(cell_parts)[order].astype(index_dtype),
+                np.concatenate(cell_parts).astype(index_dtype)[order],
                 indptr,
             ),
             shape=(two_k, num_cells),
@@ -856,10 +943,26 @@ class SparseAllToAllPricer:
         shares = placement.destination_shares
         dests = np.flatnonzero(shares.any(axis=0))
         gather = self._gather_for(tuple(dests.tolist()))
+        small = shares[:, dests]
+        column, expert = np.nonzero(small.T)
+        column_start = np.searchsorted(column, column, side="left")
         state = _SparseLayerState(
             version=placement.version,
             gather=gather,
-            shares_small=sanitize.freeze(shares[:, dests].copy()),
+            shares_small=small,
+            share_expert=expert,
+            share_column=column,
+            share_value=small[expert, column],
+            share_rank=np.arange(column.size) - column_start,
+        )
+        sanitize.freeze(
+            (
+                state.shares_small,
+                state.share_expert,
+                state.share_column,
+                state.share_value,
+                state.share_rank,
+            )
         )
         self._states[placement] = state
         self.state_rebuilds += 1
@@ -903,11 +1006,11 @@ class SparseAllToAllPricer:
         """One CSR product per gather over its layers' cell columns.
 
         Layers sharing one gather (all of them, until a migration splits
-        the hosted sets) price together: one batched ``demand @ shares``
-        gives their ``(layers, groups, n)`` cells, whose raveled rows are
-        the columns ``operator @`` turns into per-link volumes for every
-        layer at once.  Under sparse demand the worst active path latency
-        per (layer, phase) is one masked max over the same cells.
+        the hosted sets) price together: :func:`_share_cells` gives their
+        ``(layers, groups, n)`` cells, whose raveled rows are the columns
+        ``operator @`` turns into per-link volumes for every layer at
+        once.  Under sparse demand the worst active path latency per
+        (layer, phase) is one masked max over the same cells.
         """
         num_layers = len(states)
         stacked = demand_bytes.ndim == 3
@@ -919,9 +1022,10 @@ class SparseAllToAllPricer:
             layers_by_gather.setdefault(id(state.gather), []).append(layer)
         for layers in layers_by_gather.values():
             gather = states[layers[0]].gather
-            shares = np.stack([states[layer].shares_small for layer in layers])
             demand = demand_bytes[layers] if stacked else demand_bytes
-            cells = np.matmul(demand, shares)
+            cells = _share_cells(
+                demand, [states[layer] for layer in layers], gather.dests.size
+            )
             volumes[layers] = (
                 gather.operator @ cells.reshape(len(layers), -1).T
             ).T
@@ -947,7 +1051,7 @@ class SparseAllToAllPricer:
         representation (the dense tier's share stacks are likewise not
         operator memory), not the ``(group, dest) -> link`` map.
         """
-        return sum(rows.nbytes for rows in self._dest_rows.values()) + sum(
+        return self._dest_rows_nbytes + sum(
             gather.nbytes for gather in self._gathers.values()
         )
 

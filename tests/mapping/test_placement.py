@@ -290,6 +290,83 @@ class TestContentKey:
         first = placement.content_key()
         assert placement.content_key() is first
 
+    def test_insertion_order_does_not_matter(self):
+        """The same replicas reached in a different order are the same
+        shares, hence the same key."""
+        a = ExpertPlacement(16, 8, shadow_slots=2)
+        b = ExpertPlacement(16, 8, shadow_slots=2)
+        a.add_replica(0, 7)
+        a.add_replica(0, 5)
+        a.add_replica(3, 6)
+        b.add_replicas(np.array([3, 0, 0]), np.array([6, 5, 7]))
+        assert a.replicas(0) != b.replicas(0)
+        np.testing.assert_array_equal(a.destination_shares, b.destination_shares)
+        assert a.content_key() == b.content_key()
+
+    def test_two_replicas_against_three_differ(self):
+        """Two replicas against three: the positions both placements share
+        carry 1/2 against 1/3, and the keys differ."""
+        two = ExpertPlacement(16, 8, shadow_slots=2)
+        three = ExpertPlacement(16, 8, shadow_slots=2)
+        two.add_replica(0, 7)
+        three.add_replica(0, 7)
+        three.add_replica(0, 5)
+        assert two.destination_shares[0, 7] == 0.5
+        assert three.destination_shares[0, 7] == 1 / 3
+        assert two.content_key() != three.content_key()
+
+    def test_batched_add_then_drop_returns_to_native_key(self):
+        placement = ExpertPlacement(16, 8, shadow_slots=2)
+        native = placement.content_key()
+        placement.add_replicas(np.array([0, 4, 9]), np.array([7, 3, 2]))
+        assert placement.content_key() != native
+        placement.drop_replicas(np.array([9, 0, 4]), np.array([2, 7, 3]))
+        assert placement.content_key() == native
+
+    def test_dead_device_placements(self):
+        """A failure changes the key; equal failures after different
+        histories give equal shares and equal keys, orphans included."""
+        healthy = ExpertPlacement(16, 8, shadow_slots=2)
+        a = ExpertPlacement(16, 8, shadow_slots=2)
+        b = ExpertPlacement(16, 8, shadow_slots=2)
+        a.add_replica(2, 6)
+        a.fail_device(1)
+        b.fail_device(1)
+        b.add_replica(2, 6)
+        assert a.orphaned_experts() == b.orphaned_experts() != []
+        assert a.content_key() == b.content_key() != healthy.content_key()
+        b.drop_replica(2, 6)
+        assert a.content_key() != b.content_key()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keys_equal_exactly_when_shares_are(self, seed):
+        """Random mutation histories, failures and resets included: every
+        pair of states has equal keys iff its share matrices are equal."""
+        rng = np.random.default_rng(seed)
+        placement = ExpertPlacement(8, 4, shadow_slots=2)
+        seen = [(placement.destination_shares.copy(), placement.content_key())]
+        for _ in range(60):
+            action = rng.random()
+            expert = int(rng.integers(8))
+            device = int(rng.integers(4))
+            try:
+                if action < 0.5:
+                    placement.add_replica(expert, device)
+                elif action < 0.9:
+                    placement.drop_replica(expert, device)
+                elif action < 0.95:
+                    placement.reset_shadows()
+                else:
+                    placement.fail_device(device)
+            except ValueError:
+                continue
+            seen.append(
+                (placement.destination_shares.copy(), placement.content_key())
+            )
+        for shares_a, key_a in seen:
+            for shares_b, key_b in seen:
+                assert (key_a == key_b) == np.array_equal(shares_a, shares_b)
+
 
 class TestBatchedMutations:
     """add_replicas/drop_replicas end in the sequential path's exact state."""

@@ -250,6 +250,37 @@ class TestHolderTable:
         np.testing.assert_array_equal(table.holders, [h for h, _ in flat])
         np.testing.assert_array_equal(table.fractions, [f for _, f in flat])
 
+    @pytest.mark.parametrize("retain_allgather", [True, False])
+    @pytest.mark.parametrize("num_wafers", [1, 3, 4])
+    def test_her_array_table_matches_per_cell_rows(
+        self, num_wafers, retain_allgather
+    ):
+        """HER's table comes from one (group, wafer) mirror array; its CSR
+        arrays must be byte-identical to the per-cell ``token_holders``
+        rows."""
+        mapping = HierarchicalERMapping(
+            MultiWaferTopology(num_wafers, 4, 4),
+            ParallelismConfig(tp=4, dp=4 * num_wafers, tp_shape=(2, 2)),
+            retain_allgather=retain_allgather,
+        )
+        table = mapping.token_holder_table()
+        num_devices = mapping.topology.num_devices
+        rows = [
+            mapping.token_holders(group, dest)
+            for group in range(mapping.dp)
+            for dest in range(num_devices)
+        ]
+        offsets = np.concatenate(([0], np.cumsum([len(row) for row in rows])))
+        holders = np.array([h for row in rows for h, _ in row], dtype=np.intp)
+        fractions = np.array([f for row in rows for _, f in row])
+        for got, want in (
+            (table.offsets, offsets.astype(np.intp)),
+            (table.holders, holders),
+            (table.fractions, fractions),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMigrationPricingCache:
     @pytest.mark.parametrize(

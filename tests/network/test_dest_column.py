@@ -8,7 +8,9 @@ into a scratch vector.  The batched columns must equal them bitwise — the
 sparse tier's ``_SparseDestRows`` and the dense tier's ``operator`` and
 ``cell_latency`` — on ER, baseline and HER mappings.  A guard test
 builds and prices every column with mesh ``route()`` disabled, so the
-pricers can never fall back to per-pair route walks.
+pricers can never fall back to per-pair route walks, and another counts
+the pairs a HER column routes, so repeated holder rows are never routed
+twice.
 """
 
 import numpy as np
@@ -17,11 +19,13 @@ import pytest
 from oracles.dest_column import scalar_dense_operator, scalar_dest_rows
 from repro.mapping.placement import ExpertPlacement
 from repro.models import QWEN3_235B
+from repro.network import alltoall
 from repro.network.alltoall import (
     LayeredAllToAllPricer,
     SparseAllToAllPricer,
     uniform_demand,
 )
+from repro.network.phase import route_rows
 from repro.systems import build_multi_wsc, build_wsc
 from repro.topology.mesh import MeshTopology
 
@@ -34,6 +38,14 @@ SYSTEMS = {
     "her-2x(4x4)": lambda: build_multi_wsc(QWEN3_235B, 2, 4, tp=4, mapping="her"),
     "her-3x(2x2)-no-allgather": lambda: build_multi_wsc(
         QWEN3_235B, 3, 2, tp=2, mapping="her", retain_allgather=False
+    ),
+    # dp=12: a group count that is not a power of two, with each holder
+    # row repeated on all three wafers.
+    "her-3x(4x4)-dp12": lambda: build_multi_wsc(
+        QWEN3_235B, 3, 4, tp=4, mapping="her"
+    ),
+    "her-3x(4x4)-dp12-no-allgather": lambda: build_multi_wsc(
+        QWEN3_235B, 3, 4, tp=4, mapping="her", retain_allgather=False
     ),
 }
 
@@ -62,6 +74,48 @@ class TestColumnsMatchScalarOracle:
         operator, cell_latency = scalar_dense_operator(mapping)
         _assert_bitwise(pricer.operator, operator)
         _assert_bitwise(pricer.cell_latency, cell_latency)
+
+
+class TestDistinctWorkOnly:
+    @pytest.mark.parametrize(
+        "wafers, side, tp", [(3, 4, 4), (4, 16, 16)], ids=["3x(4x4)", "4x(16x16)"]
+    )
+    def test_each_distinct_remote_holder_is_routed_once(
+        self, monkeypatch, wafers, side, tp
+    ):
+        """A HER column routes one dispatch and one combine pair per
+        distinct remote holder, not one per (group, holder) pair: groups
+        at the same local coordinate of different wafers share their
+        holder row, so it is built once."""
+        mapping = build_multi_wsc(QWEN3_235B, wafers, side, tp=tp, mapping="her").mapping
+        table = mapping.token_holder_table()
+        calls = []
+
+        def counting(topology, src, dst):
+            calls.append((src.copy(), dst.copy()))
+            return route_rows(topology, src, dst)
+
+        monkeypatch.setattr(alltoall, "route_rows", counting)
+        dest = mapping.topology.num_devices - 1
+        alltoall._dest_column(mapping.topology, table, dest)
+
+        cells = np.arange(mapping.dp) * table.num_devices + dest
+        column = np.concatenate(
+            [
+                table.holders[table.offsets[cell] : table.offsets[cell + 1]]
+                for cell in cells
+            ]
+        )
+        remote = column[column != dest]
+        distinct = np.unique(remote)
+        assert remote.size == wafers * distinct.size  # the repetition to skip
+        assert len(calls) == 1
+        src, dst = calls[0]
+        dispatch, combine = np.split(np.stack((src, dst)), 2, axis=1)
+        assert dispatch.shape[1] == distinct.size
+        np.testing.assert_array_equal(np.sort(dispatch[0]), distinct)
+        assert (dispatch[1] == dest).all()
+        np.testing.assert_array_equal(combine, dispatch[::-1])
 
 
 class TestNoPerPairRouteWalks:
